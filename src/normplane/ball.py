@@ -88,6 +88,65 @@ class Piece:
                          self.t0, self.t1)
 
 
+# frames a ball keeps; the oldest is dropped first
+_FRAME_CACHE = 64
+
+
+class Frame:
+    """u, u' and [u, u'] at the Gauss-Legendre nodes of a panel layout.
+
+    The panels tile one period in increasing order, each inside one piece:
+    leaves, the (lo, hi) pairs of the first half period, then the same
+    shifted by T, so panel p + P/2 is panel p shifted by T.  weights holds
+    the quadrature weight of every node, so the integral over the period of
+    a function with values v at the nodes t is integral(v).
+    """
+
+    def __init__(self, ball, leaves, n):
+        x, w = gauss_legendre(n)
+        self.leaves = leaves
+        self.n = n
+        lo, hi = np.array(leaves).T
+        lo = np.concatenate([lo, lo + ball.T])
+        hi = np.concatenate([hi, hi + ball.T])
+        self.lo = lo
+        self.mid = 0.5 * (lo + hi)
+        self.half = 0.5 * (hi - lo)
+        self.t = self.mid[:, None] + self.half[:, None] * x
+        self.weights = self.half[:, None] * w
+        self.piece = ball.piece_index(self.mid)
+        # the panels of piece i are first[i] .. first[i + 1] - 1
+        self.first = np.searchsorted(self.piece,
+                                     np.arange(len(ball.pieces) + 1))
+        self.u = np.empty(self.t.shape + (2,))
+        self.du = np.empty(self.t.shape + (2,))
+        for i, p in enumerate(ball.pieces):
+            span = slice(self.first[i], self.first[i + 1])
+            self.u[span] = p.point(self.t[span])
+            self.du[span] = p.velocity(self.t[span])
+        self.cross = cross2(self.u, self.du)
+        self.area = 0.5 * float(self.integral(self.cross))
+
+    def cuts(self, i):
+        """The panel ends on piece i, for i in the first half period."""
+        span = self.leaves[self.first[i]:self.first[i + 1]]
+        return np.array([span[0][0]] + [hi for _, hi in span])
+
+    def integral(self, values):
+        """The quadrature sum of values at the nodes, shape (P, n, ...)."""
+        return np.tensordot(self.weights, values, axes=2)
+
+    def locate(self, t, piece=None):
+        """Panel index and position in [-1, 1] of each reduced parameter,
+        searching only the panels of piece when it is given."""
+        lo, hi = 0, len(self.lo)
+        if piece is not None:
+            lo, hi = self.first[piece], self.first[piece + 1]
+        p = lo + np.clip(np.searchsorted(self.lo[lo:hi], t, side="right") - 1,
+                         0, hi - lo - 1)
+        return p, (t - self.mid[p]) / self.half[p]
+
+
 class UnitBall:
     """A validated smooth-by-parts symmetric unit ball.
 
@@ -104,7 +163,8 @@ class UnitBall:
         self.eps_reg = 1e-9 * self.diameter
         self.tol_geom = 1e-9 * self.diameter
         self.quad = quad
-        self._area = None
+        self._frames = {}       # (panels, nodes) -> Frame
+        self._own_frames = {}   # config -> Frame of r = 1
 
     # -- parameter bookkeeping ----------------------------------------------
 
@@ -151,17 +211,53 @@ class UnitBall:
             raise DegenerateDual("[u, u'] vanishes")
         return du / np.asarray(denom)[..., None]
 
+    def frame(self, config=None, radii=None):
+        """The Frame of the panels the adaptive rule accepts for r u'.
+
+        radii holds one callable per piece (r = 1 when None).  Piece i and
+        its antipode i + n share one panel layout, chosen on both radii at
+        once.  Frames are cached by layout, so curves whose panels agree
+        share one Frame object.
+        """
+        config = config or self.quad
+        if radii is None and config in self._own_frames:
+            return self._own_frames[config]
+        n, T = self.n_half, self.T
+        leaves = []
+        for i, p in enumerate(self.pieces[:n]):
+            if radii is None:
+                f = p.velocity
+            else:
+                def f(s, i=i, p=p):
+                    r = np.stack([radii[i](s), radii[i + n](s + T)], axis=-1)
+                    return r[..., None] * p.velocity(s)[..., None, :]
+            integrate(f, p.t0, p.t1, config, leaves=leaves)
+        frame = self._frame_of(tuple(leaves), config.nodes_per_panel)
+        if radii is None:
+            self._own_frames[config] = frame
+        return frame
+
+    def common_frame(self, f1, f2):
+        """The Frame of the coarsest panels that refine both frames'."""
+        leaves = []
+        for i in range(self.n_half):
+            cuts = np.union1d(f1.cuts(i), f2.cuts(i))
+            leaves += zip(cuts[:-1].tolist(), cuts[1:].tolist())
+        return self._frame_of(tuple(leaves), f1.n)
+
+    def _frame_of(self, leaves, n):
+        """The cached Frame of first-half panels leaves, n nodes each."""
+        frame = self._frames.get((leaves, n))
+        if frame is None:
+            if len(self._frames) >= _FRAME_CACHE:
+                del self._frames[next(iter(self._frames))]
+            frame = self._frames[leaves, n] = Frame(self, leaves, n)
+        return frame
+
     @property
     def area(self):
         """Enclosed area, A(U) = 1/2 * integral of [u, u']."""
-        if self._area is None:
-            total = 0.0
-            for p in self.pieces:
-                total += integrate(
-                    lambda s, p=p: cross2(p.point(s), p.velocity(s)),
-                    p.t0, p.t1, self.quad)
-            self._area = 0.5 * float(total)
-        return self._area
+        return self.frame().area
 
     def scaled(self, c):
         """The ball scaled by a positive factor about the origin."""

@@ -5,19 +5,19 @@ Modes with an even multiple of pi/T are T-periodic (symmetric curves, closed
 automatically); odd multiples are anti-periodic (constant-width material).
 Closure for general series is enforced by solving a 2x2 linear system for
 two anti-periodic correction coefficients, which never disturbs
-periodicity class, dual length, or the width profile.
+periodicity class, dual length, or the width profile.  Every radius is one
+series, the closing terms and the constant lift included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ball import builtin_ball, cross2
-from .curve import curve_from_radius
+from .ball import builtin_ball
+from .curve import AdmissibleCurve, NodeValues, curve_from_radius
 from .errors import NormPlaneError
 from .inequalities import Polygon, iso_ledger, minkowski_gap
-from .measures import mixed_area, signed_area
-from .quadrature import integrate
+from .measures import dual_length, mixed_area, signed_area
 
 CORPUS_BALL_NAMES = ("euclidean", "square", "regular_2k_gon",
                      "mixed_example21")
@@ -27,52 +27,36 @@ def corpus_balls():
     return [builtin_ball(name) for name in CORPUS_BALL_NAMES]
 
 
-def _flux(ball, g):
-    """The closure defect: integral of g(t) u'(t) dt around the ball."""
-    total = np.zeros(2)
-    for p in ball.pieces:
-        total += integrate(lambda s, p=p: g(s)[..., None] * p.velocity(s),
-                           p.t0, p.t1, ball.quad)
-    return total
-
-
-def _dual_length_of(ball, g):
-    total = 0.0
-    for p in ball.pieces:
-        total += integrate(
-            lambda s, p=p: g(s) * cross2(p.point(s), p.velocity(s)),
-            p.t0, p.t1, ball.quad)
-    return float(total)
-
-
 def _trig_series(ball, coeffs):
     """sum of a_k cos(k pi (t - t0) / T) + b_k sin(...) for (k, a, b)."""
-    t0 = ball.t_start
-    T = ball.T
+    k, a, b = (np.array(c, dtype=float) for c in zip(*coeffs))
+    freq = k * np.pi / ball.T
 
     def g(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        for k, a, b in coeffs:
-            phase = k * np.pi * (t - t0) / T
-            out += a * np.cos(phase) + b * np.sin(phase)
-        return out
+        phase = np.multiply.outer(np.asarray(t, dtype=float) - ball.t_start,
+                                  freq)
+        return np.cos(phase) @ a + np.sin(phase) @ b
 
     return g
 
 
-def _close_radius(ball, g):
-    """Add anti-periodic corrections so the displacement integral vanishes."""
-    g1 = _trig_series(ball, [(1, 1.0, 0.0)])
-    g2 = _trig_series(ball, [(1, 0.0, 1.0)])
-    M = np.column_stack([_flux(ball, g1), _flux(ball, g2)])
-    d = _flux(ball, g)
-    ab = np.linalg.solve(M, -d)
+def _closed(ball, coeffs):
+    """The series plus the k = 1 terms that make its curve close.
 
-    def closed(t):
-        return g(t) + ab[0] * g1(t) + ab[1] * g2(t)
+    Closure gaps are linear in the radius, so the two k = 1 terms solve a
+    2x2 system; they change neither periodicity class, dual length nor the
+    width profile.  All three gaps are read on the frame of the series.
+    """
+    frame = ball.frame(radii=[_trig_series(ball, coeffs)] * len(ball.pieces))
 
-    return closed
+    def gap(c):
+        r = NodeValues(frame, _trig_series(ball, c)(frame.t))
+        return AdmissibleCurve(ball, r, (0.0, 0.0), quad=ball.quad,
+                               check_closure=False).closure_gap
+
+    M = np.column_stack([gap([(1, 1.0, 0.0)]), gap([(1, 0.0, 1.0)])])
+    a, b = np.linalg.solve(M, -gap(coeffs))
+    return [*coeffs, (1, a, b)]
 
 
 def _grid(ball, per_piece=200):
@@ -82,49 +66,46 @@ def _grid(ball, per_piece=200):
     return np.concatenate(chunks)
 
 
+def _lifted_curve(ball, rng, coeffs):
+    """The series plus a random constant that makes it positive, placed at
+    a random basepoint: a convex curve."""
+    vals = _trig_series(ball, coeffs)(_grid(ball))
+    lift = -float(np.min(vals)) + rng.uniform(0.3, 1.0) * (
+        float(np.ptp(vals)) + 0.5)
+    base = rng.uniform(-1.0, 1.0, size=2)
+    return curve_from_radius(ball, _trig_series(ball, [*coeffs, (0, lift, 0)]),
+                             basepoint=base)
+
+
 def random_convex_curve(ball, rng, n_modes=4):
     """A random positively curved closed curve on the ball."""
     coeffs = [(k, rng.normal(scale=1.0 / k), rng.normal(scale=1.0 / k))
               for k in range(1, n_modes + 1)]
-    r = _close_radius(ball, _trig_series(ball, coeffs))
-    vals = r(_grid(ball))
-    lift = -float(np.min(vals)) + rng.uniform(0.3, 1.0) * (
-        float(np.ptp(vals)) + 0.5)
-    base = rng.uniform(-1.0, 1.0, size=2)
-    return curve_from_radius(ball, lambda t: r(t) + lift, basepoint=base)
+    return _lifted_curve(ball, rng, _closed(ball, coeffs))
 
 
 def random_symmetric_convex_curve(ball, rng, n_modes=2):
     """Symmetric (T-periodic radius) and convex; closed automatically."""
     coeffs = [(2 * k, rng.normal(scale=0.5 / k), rng.normal(scale=0.5 / k))
               for k in range(1, n_modes + 1)]
-    g = _trig_series(ball, coeffs)
-    vals = g(_grid(ball))
-    lift = -float(np.min(vals)) + rng.uniform(0.3, 1.0) * (
-        float(np.ptp(vals)) + 0.5)
-    base = rng.uniform(-1.0, 1.0, size=2)
-    return curve_from_radius(ball, lambda t: g(t) + lift, basepoint=base)
+    return _lifted_curve(ball, rng, coeffs)
 
 
 def random_constant_width_convex_curve(ball, rng, n_modes=2):
     """Constant width (anti-periodic radius part) and convex."""
     coeffs = [(2 * k - 1, rng.normal(scale=0.5 / k),
                rng.normal(scale=0.5 / k)) for k in range(1, n_modes + 1)]
-    s = _close_radius(ball, _trig_series(ball, coeffs))
-    vals = s(_grid(ball))
-    half_w = -float(np.min(vals)) + rng.uniform(0.3, 1.0) * (
-        float(np.ptp(vals)) + 0.5)
-    base = rng.uniform(-1.0, 1.0, size=2)
-    return curve_from_radius(ball, lambda t: s(t) + half_w, basepoint=base)
+    return _lifted_curve(ball, rng, _closed(ball, coeffs))
 
 
 def random_symmetric_zero_dual(ball, rng, n_modes=2):
     """Symmetric with zero dual length (not necessarily convex)."""
     coeffs = [(2 * k, rng.normal(), rng.normal())
               for k in range(1, n_modes + 1)]
-    g = _trig_series(ball, coeffs)
-    c = _dual_length_of(ball, g) / (2.0 * ball.area)
-    return curve_from_radius(ball, lambda t: g(t) - c,
+    g = AdmissibleCurve(ball, _trig_series(ball, coeffs), (0.0, 0.0),
+                        quad=ball.quad, check_closure=False)
+    c = dual_length(g) / (2.0 * ball.area)
+    return curve_from_radius(ball, _trig_series(ball, [*coeffs, (0, -c, 0)]),
                              basepoint=rng.uniform(-1.0, 1.0, size=2))
 
 
@@ -132,8 +113,7 @@ def random_constant_width_zero_dual(ball, rng, n_modes=2):
     """Constant width zero with zero dual length (anti-periodic radius)."""
     coeffs = [(2 * k - 1, rng.normal(), rng.normal())
               for k in range(1, n_modes + 1)]
-    s = _close_radius(ball, _trig_series(ball, coeffs))
-    return curve_from_radius(ball, s,
+    return curve_from_radius(ball, _trig_series(ball, _closed(ball, coeffs)),
                              basepoint=rng.uniform(-1.0, 1.0, size=2))
 
 

@@ -1,7 +1,10 @@
 """Admissible curves: closed curves with gamma'(t) = r(t) u'(t) per piece.
 
 A curve is stored as its ball, a per-piece curvature-radius function and a
-basepoint; points are recovered by integrating r u' (cached per piece).
+basepoint.  Its numbers come from a node table, built once per
+QuadratureConfig: the radius and the points at the Gauss-Legendre nodes of
+the panels that the adaptive rule accepts for r u'.  Points between nodes
+come from each panel's Legendre series of the integral of r u'.
 """
 
 from __future__ import annotations
@@ -9,11 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from . import expressions as ex
-from .ball import cross2
-from .errors import NotAdmissible, NotClosed
-from .quadrature import DEFAULT_CONFIG, gauss_legendre, integrate
+from .errors import DomainError, NotAdmissible, NotClosed
+from .quadrature import DEFAULT_CONFIG, gauss_legendre, legendre_operators
+
+# parameters per block when evaluating panel series, bounding the memory
+# of the (parameters x degree) basis
+_BLOCK = 512
 
 
 def _coerce_radius(obj):
@@ -26,30 +33,104 @@ def _coerce_radius(obj):
     return ex.compile_fn(ex.as_expr(obj))
 
 
+def _sampler(i, fn):
+    """fn on piece i, raising DomainError where it leaves its domain."""
+    def sample(t):
+        r = np.asarray(fn(t), dtype=float)
+        if r.shape != t.shape:
+            r = np.broadcast_to(r, t.shape)
+        if not np.isfinite(r).all():
+            where = t[~np.isfinite(r)][0]
+            raise DomainError(
+                f"radius of piece {i} is not finite at t={where:.17g}")
+        return r
+    return sample
+
+
+def _piece_radius(table, i):
+    """The table's radius on piece i as a vectorized callable."""
+    return lambda t: table.radius(np.ravel(t), i).reshape(np.shape(t))
+
+
+@dataclass(frozen=True)
+class NodeValues:
+    """A radius given by its values at the nodes of a ball Frame, shape
+    (panels, nodes); between nodes it is each panel's interpolant."""
+
+    frame: object
+    values: np.ndarray
+
+
+class NodeTable:
+    """A curve's radius r and points gamma at the nodes of one Frame.
+
+    start holds gamma at each panel's left end, gap the displacement over
+    one period (zero for a closed curve).  Between nodes, r is each panel's
+    Legendre interpolant and gamma the integral of that of r u'.
+    """
+
+    def __init__(self, frame, r, basepoint):
+        L, M, C = legendre_operators(frame.n)
+        self.frame = frame
+        self.r = r
+        g = r[..., None] * frame.du
+        half = frame.half[:, None, None]
+        ends = basepoint + np.cumsum(
+            np.einsum("pk,pkd->pd", frame.weights, g), axis=0)
+        self.start = np.concatenate([[basepoint], ends[:-1]])
+        self.gap = ends[-1] - basepoint
+        self.gamma = self.start[:, None] + half * (C @ g)
+        self._gamma_coef = half * (M @ g)
+        self._gamma_coef[:, 0] += self.start
+        self._r_coef = r @ L.T
+
+    def _series(self, coef, t, piece=None):
+        """Sum over k of coef[p, k] P_k(x) at reduced parameters t (1-D)."""
+        out = np.empty(t.shape + coef.shape[2:])
+        for s in range(0, len(t), _BLOCK):
+            p, x = self.frame.locate(t[s:s + _BLOCK], piece)
+            V = legendre.legvander(x, coef.shape[1] - 1)
+            out[s:s + _BLOCK] = np.einsum("mk,mk...->m...", V, coef[p])
+        return out
+
+    def points(self, t):
+        """gamma at reduced parameters t (1-D)."""
+        return self._series(self._gamma_coef, t)
+
+    def radius(self, t, piece=None):
+        """r at reduced parameters t (1-D), on the panels of piece if given."""
+        return self._series(self._r_coef, t, piece)
+
+
 class AdmissibleCurve:
-    """A closed curve subordinate to a ball's piece partition."""
+    """A closed curve subordinate to a ball's piece partition.
+
+    radii is one radius per ball piece, or a single one for all pieces: an
+    Expr, expression text, a constant, a vectorized callable, or
+    NodeValues on the frame of quad.
+    """
 
     def __init__(self, ball, radii, basepoint, quad=DEFAULT_CONFIG,
                  check_closure=True, tol_close=None):
         self.ball = ball
-        if callable(radii) or isinstance(radii, (ex.Expr, str, int, float)):
+        self.basepoint = np.asarray(basepoint, dtype=float)
+        self.quad = quad
+        self._tables = {}
+        if isinstance(radii, NodeValues):
+            table = self._tables[quad] = NodeTable(radii.frame, radii.values,
+                                                   self.basepoint)
+            radii = [_piece_radius(table, i) for i in range(len(ball.pieces))]
+        elif callable(radii) or isinstance(radii,
+                                           (ex.Expr, str, int, float)):
             radii = [radii] * len(ball.pieces)
         if len(radii) != len(ball.pieces):
             raise ValueError(
                 f"need one radius per ball piece ({len(ball.pieces)}), "
                 f"got {len(radii)}")
         self.radii = [_coerce_radius(r) for r in radii]
-        self.basepoint = np.asarray(basepoint, dtype=float)
-        self.quad = quad
 
-        # cumulative piece start points
-        starts = [self.basepoint]
-        for i, p in enumerate(ball.pieces):
-            disp = integrate(self._piece_integrand(i), p.t0, p.t1, quad)
-            starts.append(starts[-1] + disp)
-        self.piece_starts = np.array(starts[:-1])
-        self.closure_residual = float(np.linalg.norm(starts[-1]
-                                                     - self.basepoint))
+        self.closure_gap = self.table().gap
+        self.closure_residual = float(np.linalg.norm(self.closure_gap))
         self._diameter = None
 
         if check_closure:
@@ -60,10 +141,20 @@ class AdmissibleCurve:
                     f"curve does not close: residual "
                     f"{self.closure_residual:.3e} > {tol_close:.3e}")
 
-    def _piece_integrand(self, i):
-        p = self.ball.pieces[i]
-        r = self.radii[i]
-        return lambda s: r(s)[..., None] * p.velocity(s)
+    def table(self, config=None):
+        """The NodeTable for config (default: the curve's own), built once."""
+        config = config or self.quad
+        table = self._tables.get(config)
+        if table is None:
+            samplers = [_sampler(i, r) for i, r in enumerate(self.radii)]
+            frame = self.ball.frame(config, samplers)
+            r = np.empty(frame.t.shape)
+            for i, sample in enumerate(samplers):
+                span = slice(frame.first[i], frame.first[i + 1])
+                r[span] = sample(frame.t[span])
+            table = self._tables[config] = NodeTable(frame, r,
+                                                     self.basepoint)
+        return table
 
     # -- evaluation ---------------------------------------------------------
 
@@ -82,34 +173,19 @@ class AdmissibleCurve:
     def point(self, t):
         """gamma(t) = basepoint + integral of r u' from the start."""
         t = self.ball.reduce(t)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        idx = self.ball.piece_index(t)
-        out = np.empty(t.shape + (2,))
-        x, w = gauss_legendre(self.quad.nodes_per_panel)
-        for i in np.unique(idx):
-            sel = idx == i
-            ts = t[sel]
-            p = self.ball.pieces[i]
-            # nodes from the piece start to each t
-            half = 0.5 * (ts - p.t0)
-            nodes = p.t0 + half[:, None] * (x[None, :] + 1.0)
-            vals = (self.radii[i](nodes)[..., None]
-                    * p.velocity(nodes))  # (m, nn, 2)
-            seg = half[:, None] * np.tensordot(vals, w, axes=(1, 0))
-            out[sel] = self.piece_starts[i] + seg
-        return out[0] if scalar else out
+        return self.table().points(t.ravel()).reshape(t.shape + (2,))
 
     def velocity(self, t):
         return self.radius(t)[..., None] * self.ball.velocity(t)
 
     @property
     def diameter(self):
+        """Diagonal of the bounding box of the node table's points."""
         if self._diameter is None:
-            pts = self.sample_points(256)
-            lo = pts.min(axis=0)
-            hi = pts.max(axis=0)
-            self._diameter = float(np.linalg.norm(hi - lo))
+            table = self.table()
+            pts = np.concatenate([table.start, table.gamma.reshape(-1, 2)])
+            self._diameter = float(np.linalg.norm(pts.max(axis=0)
+                                                  - pts.min(axis=0)))
         return self._diameter
 
     def sample_params(self, per_piece=64, endpoints=True):
@@ -122,9 +198,6 @@ class AdmissibleCurve:
                 ts = np.concatenate(([p.t0], ts, [p.t1 - 1e-12 * (p.t1 - p.t0)]))
             chunks.append(ts)
         return np.concatenate(chunks)
-
-    def sample_points(self, per_piece=64):
-        return self.point(self.sample_params(per_piece))
 
     # -- algebra ------------------------------------------------------------
 

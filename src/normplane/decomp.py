@@ -7,7 +7,8 @@ Every admissible curve splits as
 where WC is the midpoint curve (gamma(t) + gamma(t+T)) / 2 (a T-periodic
 loop, traversed twice over one full period), CWMS is the symmetric part
 (gamma(t) - gamma(t+T) - w u(t)) / 2, and w is the mean width.  Both are
-realized as admissible curves through their radius functions.
+admissible curves whose radius tables, (r(t) -+ r(t+T)) / 2 (minus w / 2
+for CWMS), are formed from the curve's own node table.
 """
 
 from __future__ import annotations
@@ -16,47 +17,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import AdmissibleCurve
+from .curve import AdmissibleCurve, NodeValues
 from .errors import DecompositionResidual
 from .measures import dual_length, signed_area
 
 
-def _antipodal_radii(curve):
-    """Per-piece callables for t -> r(t + T) on the piece of t."""
-    ball = curve.ball
-    n2 = len(ball.pieces)
-    T = ball.T
-    out = []
-    for i in range(n2):
-        j = ball.antipodal(i)
-        shift = T if i < ball.n_half else -T
-        out.append(lambda t, r=curve.radii[j], shift=shift: r(t + shift))
-    return out
+def _antipodal(values):
+    """Node values at t + T: panel p + P/2 of a frame is panel p shifted
+    by T."""
+    return np.roll(values, len(values) // 2, axis=0)
 
 
-def wigner_caustic(curve):
+def wigner_caustic(curve, config=None):
     """The midpoint curve, with radius (r(t) - r(t+T)) / 2."""
-    anti = _antipodal_radii(curve)
-    radii = [(lambda t, r=r, a=a: 0.5 * (r(t) - a(t)))
-             for r, a in zip(curve.radii, anti)]
-    t0 = np.array(curve.ball.t_start)
-    base = 0.5 * (curve.point(t0) + curve.point(t0 + curve.ball.T))
-    return AdmissibleCurve(curve.ball, radii, base, quad=curve.quad,
-                           check_closure=False)
+    config = config or curve.quad
+    table = curve.table(config)
+    r = 0.5 * (table.r - _antipodal(table.r))
+    # gamma(t0) and gamma(t0 + T) start the first panels of the two halves
+    base = 0.5 * (table.start[0] + _antipodal(table.start)[0])
+    return AdmissibleCurve(curve.ball, NodeValues(table.frame, r), base,
+                           quad=config, check_closure=False)
 
 
-def cwms(curve, w=None):
+def cwms(curve, w=None, config=None):
     """The constant width measure set, radius (r(t) + r(t+T) - w) / 2."""
+    config = config or curve.quad
+    table = curve.table(config)
     if w is None:
-        w = dual_length(curve) / curve.ball.area
-    anti = _antipodal_radii(curve)
-    radii = [(lambda t, r=r, a=a, w=w: 0.5 * (r(t) + a(t) - w))
-             for r, a in zip(curve.radii, anti)]
-    t0 = np.array(curve.ball.t_start)
-    base = 0.5 * (curve.point(t0) - curve.point(t0 + curve.ball.T)
-                  - w * curve.ball.point(t0))
-    return AdmissibleCurve(curve.ball, radii, base, quad=curve.quad,
-                           check_closure=False)
+        w = dual_length(curve, config) / table.frame.area
+    r = 0.5 * (table.r + _antipodal(table.r) - w)
+    base = 0.5 * (table.start[0] - _antipodal(table.start)[0]
+                  - w * curve.ball.point(np.array(curve.ball.t_start)))
+    return AdmissibleCurve(curve.ball, NodeValues(table.frame, r), base,
+                           quad=config, check_closure=False)
 
 
 @dataclass
@@ -79,22 +72,25 @@ class DecompositionResult:
         }
 
 
-def decompose(curve, check=True):
+def decompose(curve, check=True, config=None):
     """Split a curve into WC + CWMS + (w/2) u and verify the identity.
 
     The Wigner caustic is T-periodic, so its signed area over the full
     parameter period counts the loop twice; wc_area reports the
     once-around value (raw / 2), which is the convention entering the
-    isoperimetric identity with coefficient 2.
+    isoperimetric identity with coefficient 2.  Every term reads the
+    curve's node table for config (default: the curve's own).
     """
-    w = dual_length(curve) / curve.ball.area
-    wc_curve = wigner_caustic(curve)
-    cw_curve = cwms(curve, w=w)
+    config = config or curve.quad
+    table = curve.table(config)
+    w = dual_length(curve, config) / table.frame.area
+    wc_curve = wigner_caustic(curve, config)
+    cw_curve = cwms(curve, w, config)
 
     ts = curve.sample_params(32)
     recon = (wc_curve.point(ts) + cw_curve.point(ts)
              + 0.5 * w * curve.ball.point(ts))
-    residual = float(np.max(np.linalg.norm(curve.point(ts) - recon,
+    residual = float(np.max(np.linalg.norm(table.points(ts) - recon,
                                            axis=-1)))
     tol = 1e-9 * max(curve.diameter, curve.ball.diameter)
     if check and residual > tol:
@@ -102,7 +98,7 @@ def decompose(curve, check=True):
             f"reconstruction residual {residual:.3e} exceeds {tol:.3e}; "
             "this indicates an internal bug")
 
-    raw = signed_area(wc_curve)
+    raw = signed_area(wc_curve, config)
     return DecompositionResult(
         wc=wc_curve,
         cwms=cw_curve,
@@ -110,5 +106,5 @@ def decompose(curve, check=True):
         residual=residual,
         wc_area_raw=raw,
         wc_area=0.5 * raw,
-        cwms_area=signed_area(cw_curve),
+        cwms_area=signed_area(cw_curve, config),
     )

@@ -61,16 +61,21 @@ class IsoLedger:
 
 
 def iso_ledger(curve, config=None):
-    """All terms of the isoperimetric identity and its weakened gaps."""
+    """All terms of the isoperimetric identity and its weakened gaps.
+
+    Every term, A(U) included, is read from the curve's node table for
+    config (default: the curve's own).
+    """
     conv = is_convex(curve)
     if not (conv.convex and conv.sign >= 0):
         raise NotConvexInput(
             "the isoperimetric identity requires a positively oriented "
             f"convex curve (witness t={conv.witness})")
+    config = config or curve.quad
     L = dual_length(curve, config)
-    A_U = curve.ball.area
+    A_U = curve.table(config).frame.area
     A = signed_area(curve, config)
-    dec = decompose(curve)
+    dec = decompose(curve, config=config)
     lhs = L * L / (4.0 * A_U)
     return IsoLedger(
         dual_length=L,

@@ -9,34 +9,34 @@ import numpy as np
 
 from .ball import cross2
 from .errors import MismatchedBalls
-from .quadrature import DEFAULT_CONFIG, gauss_legendre, integrate
+from .quadrature import gauss_legendre
 
 
 def dual_length(curve, config=None):
     """L*(gamma) = integral of r(t) [u(t), u'(t)] dt over one period."""
-    config = config or curve.quad
-    total = 0.0
-    for i, p in enumerate(curve.ball.pieces):
-        r = curve.radii[i]
-        total += integrate(
-            lambda s, r=r, p=p: r(s) * cross2(p.point(s), p.velocity(s)),
-            p.t0, p.t1, config)
-    return float(total)
+    table = curve.table(config)
+    return float(table.frame.integral(table.r * table.frame.cross))
 
 
 def mixed_area(c1, c2, config=None):
-    """A(c1, c2) = 1/2 * integral of [c1(t), c2'(t)] dt."""
+    """A(c1, c2) = 1/2 * integral of [c1(t), c2'(t)] dt.
+
+    A weighted sum over c2's nodes when the two curves share a frame;
+    otherwise over the nodes of the coarsest panels refining both, where
+    c1's points and c2's radius come from their panel series.
+    """
     if c1.ball is not c2.ball:
         raise MismatchedBalls("curves live on different balls")
     config = config or c1.quad
-    total = 0.0
-    for i, p in enumerate(c1.ball.pieces):
-        r2 = c2.radii[i]
-        total += integrate(
-            lambda s, r2=r2, p=p: cross2(c1.point(s),
-                                         r2(s)[..., None] * p.velocity(s)),
-            p.t0, p.t1, config)
-    return 0.5 * float(total)
+    t1, t2 = c1.table(config), c2.table(config)
+    if t1.frame is t2.frame:
+        frame, g1, r2 = t2.frame, t1.gamma, t2.r
+    else:
+        frame = c1.ball.common_frame(t1.frame, t2.frame)
+        ts = frame.t.ravel()
+        g1 = t1.points(ts).reshape(frame.t.shape + (2,))
+        r2 = t2.radius(ts).reshape(frame.t.shape)
+    return 0.5 * float(frame.integral(cross2(g1, r2[..., None] * frame.du)))
 
 
 def signed_area(curve, config=None):
@@ -82,7 +82,11 @@ class WidthCheck:
 
 def is_constant_width(curve, tol=None, per_piece=48):
     """Test whether the width profile is constant (within tol * scale)."""
-    ts, w = width_profile(curve, per_piece=per_piece)
+    return _width_check(curve, *width_profile(curve, per_piece=per_piece),
+                        tol)
+
+
+def _width_check(curve, ts, w, tol=None):
     scale = max(curve.diameter, curve.ball.diameter)
     if tol is None:
         tol = 1e-8
@@ -155,8 +159,8 @@ def measure_report(curve, config=None):
     L = dual_length(curve, config)
     A = signed_area(curve, config)
     w = L / curve.ball.area
-    cw = is_constant_width(curve)
-    _, profile = width_profile(curve)
+    ts, profile = width_profile(curve)
+    cw = _width_check(curve, ts, profile)
     return MeasureReport(
         dual_length=L,
         signed_area=A,

@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Legendre quadrature for piecewise-smooth integrands."""
+"""Adaptive Gauss-Legendre quadrature for piecewise-smooth integrands, and
+the Legendre operators that turn values at a panel's nodes into series."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import NoConvergence
 
@@ -47,7 +49,7 @@ def panel(f, a, b, n):
     return 0.5 * (b - a) * np.tensordot(w, vals, axes=(0, 0))
 
 
-def _adapt(f, a, b, whole, config, depth):
+def _adapt(f, a, b, whole, config, depth, leaves):
     m = 0.5 * (a + b)
     left = panel(f, a, m, config.nodes_per_panel)
     right = panel(f, m, b, config.nodes_per_panel)
@@ -55,22 +57,29 @@ def _adapt(f, a, b, whole, config, depth):
     err = np.max(np.abs(whole - refined))
     scale = max(np.max(np.abs(refined)), np.max(np.abs(whole)))
     if err <= max(config.rel_tol * scale, config.abs_tol):
+        if leaves is not None:
+            leaves += [(a, m), (m, b)]
         return refined
     if depth >= config.max_depth:
         raise NoConvergence(
             f"quadrature did not converge on [{a}, {b}] "
             f"(error {err:.3e}, scale {scale:.3e})")
-    return (_adapt(f, a, m, left, config, depth + 1)
-            + _adapt(f, m, b, right, config, depth + 1))
+    return (_adapt(f, a, m, left, config, depth + 1, leaves)
+            + _adapt(f, m, b, right, config, depth + 1, leaves))
 
 
-def integrate(f, a, b, config=DEFAULT_CONFIG):
-    """Adaptive panel-halving integral of f over [a, b]."""
+def integrate(f, a, b, config=DEFAULT_CONFIG, leaves=None):
+    """Adaptive panel-halving integral of f over [a, b].
+
+    When leaves is a list, the accepted panels are appended to it as
+    (lo, hi) pairs in increasing order; the integral is the sum of the
+    nodes_per_panel-point rule over exactly those panels.
+    """
     if a == b:
         probe = np.asarray(f(np.array([a])), dtype=float)
         return np.zeros(probe.shape[1:])[()] if probe.ndim > 1 else 0.0
     whole = panel(f, a, b, config.nodes_per_panel)
-    return _adapt(f, a, b, whole, config, 0)
+    return _adapt(f, a, b, whole, config, 0, leaves)
 
 
 def integrate_piecewise(f, partition, config=DEFAULT_CONFIG):
@@ -85,3 +94,23 @@ def integrate_piecewise(f, partition, config=DEFAULT_CONFIG):
         part = integrate(f, a, b, config)
         total = part if total is None else total + part
     return total
+
+
+@lru_cache(maxsize=32)
+def legendre_operators(n):
+    """Matrices acting on the values of a function at the n Gauss nodes.
+
+    Returns (L, M, C): L (n x n) gives the Legendre coefficients of the
+    interpolant; M ((n+1) x n) the coefficients of its integral from -1;
+    C (n x n) the values of that integral at the nodes (the cumulative
+    integration matrix).  All act on [-1, 1]; scale by half the panel
+    length for a panel.
+    """
+    x, w = gauss_legendre(n)
+    V = legendre.legvander(x, n - 1)
+    L = (V * w[:, None]).T * (np.arange(n) + 0.5)[:, None]
+    M = legendre.legint(L, lbnd=-1)
+    C = legendre.legvander(x, n) @ M
+    for op in (L, M, C):
+        op.flags.writeable = False
+    return L, M, C

@@ -1,0 +1,155 @@
+"""The node-table core against an independent nested-quadrature reference,
+and properties of mixed areas between curves with different panel layouts."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from normplane import (QuadratureConfig, builtin_ball, cross2,
+                       curve_from_radius, decompose, dual_length, iso_ledger,
+                       mixed_area, signed_area)
+from normplane.corpus import random_convex_curve
+from normplane.errors import DomainError
+from normplane.quadrature import gauss_legendre, integrate
+
+ORACLE_BALLS = {
+    "euclidean": {}, "square": {}, "regular_2k_gon": {"k": 3},
+    "mixed_example21": {}, "regular_2k_gon(5)": {"k": 5},
+}
+
+
+def _ball(name):
+    return builtin_ball(name.split("(")[0], **ORACLE_BALLS[name])
+
+
+# -- the reference: adaptive piece displacements and a 32-node rule from the
+# -- piece start to t, with mixed areas integrated adaptively over that -----
+
+def _velocity(curve, i):
+    p, r = curve.ball.pieces[i], curve.radii[i]
+    return lambda s: r(s)[..., None] * p.velocity(s)
+
+
+def ref_point(curve, t):
+    ball = curve.ball
+    t = np.atleast_1d(ball.reduce(t))
+    starts = [curve.basepoint]
+    for i, p in enumerate(ball.pieces[:-1]):
+        starts.append(starts[-1] + integrate(_velocity(curve, i), p.t0, p.t1))
+    x, w = gauss_legendre(32)
+    out = np.empty(t.shape + (2,))
+    idx = ball.piece_index(t)
+    for i in np.unique(idx):
+        sel = idx == i
+        p = ball.pieces[i]
+        half = 0.5 * (t[sel] - p.t0)
+        nodes = p.t0 + half[:, None] * (x[None, :] + 1.0)
+        vals = _velocity(curve, i)(nodes)
+        out[sel] = starts[i] + half[:, None] * np.tensordot(vals, w,
+                                                            axes=(1, 0))
+    return out
+
+
+def ref_dual_length(curve):
+    total = 0.0
+    for i, p in enumerate(curve.ball.pieces):
+        total += integrate(
+            lambda s, i=i, p=p: curve.radii[i](s) * cross2(p.point(s),
+                                                           p.velocity(s)),
+            p.t0, p.t1)
+    return float(total)
+
+
+def ref_mixed_area(c1, c2):
+    total = 0.0
+    for i, p in enumerate(c1.ball.pieces):
+        total += integrate(
+            lambda s, i=i: cross2(ref_point(c1, s), _velocity(c2, i)(s)),
+            p.t0, p.t1)
+    return 0.5 * float(total)
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_BALLS))
+def curve_pair(request):
+    ball = _ball(request.param)
+    rng = np.random.default_rng(list(ORACLE_BALLS).index(request.param))
+    return random_convex_curve(ball, rng), random_convex_curve(ball, rng)
+
+
+class TestOracle:
+    def test_dual_length(self, curve_pair):
+        for c in curve_pair:
+            assert dual_length(c) == pytest.approx(ref_dual_length(c),
+                                                   rel=1e-12)
+
+    def test_mixed_and_signed_area(self, curve_pair):
+        c1, c2 = curve_pair
+        assert mixed_area(c1, c2) == pytest.approx(ref_mixed_area(c1, c2),
+                                                   rel=1e-12)
+        assert signed_area(c1) == pytest.approx(ref_mixed_area(c1, c1),
+                                                rel=1e-12)
+
+    def test_point_at_random_parameters(self, curve_pair):
+        rng = np.random.default_rng(3)
+        for c in curve_pair:
+            ts = rng.uniform(-5.0, 15.0, size=200)
+            scale = max(c.diameter, float(np.max(np.abs(c.basepoint))))
+            np.testing.assert_allclose(c.point(ts), ref_point(c, ts),
+                                       rtol=0, atol=1e-12 * scale)
+
+
+# -- curves whose panel layouts differ ---------------------------------------
+
+def _wavy_curve(ball, k, b, base):
+    """Radius 1 + b cos(2 m pi (t - t0) / T) with m = k n (n pieces per half
+    period): T-periodic, so it closes, and for k >= 16 the adaptive rule
+    splits each piece into more panels than a low-mode curve needs."""
+    t0, T, m = ball.t_start, ball.T, k * ball.n_half
+    return curve_from_radius(
+        ball, lambda t: 1.0 + b * np.cos(2 * m * np.pi * (t - t0) / T),
+        basepoint=base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(list(ORACLE_BALLS)),
+       seed=st.integers(0, 2**32 - 1),
+       k=st.integers(16, 40),
+       b=st.floats(0.05, 0.9),
+       shift=st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+def test_mixed_area_symmetric_and_translation_invariant(name, seed, k, b,
+                                                        shift):
+    ball = _ball(name)
+    rng = np.random.default_rng(seed)
+    c1 = random_convex_curve(ball, rng)
+    c2 = _wavy_curve(ball, k, b, rng.uniform(-1, 1, size=2))
+    assume(c1.table().frame is not c2.table().frame)
+    a12 = mixed_area(c1, c2)
+    scale = max(abs(signed_area(c1)), abs(signed_area(c2)),
+                c1.diameter * c2.diameter)
+    assert abs(a12 - mixed_area(c2, c1)) <= 1e-12 * scale
+    assert abs(mixed_area(c1.translated(shift), c2) - a12) <= 1e-12 * scale
+    assert abs(mixed_area(c1, c2.translated(shift)) - a12) <= 1e-12 * scale
+
+
+# -- every ledger term reads the table of the config it is given ------------
+
+def test_ledger_terms_share_the_config(example22):
+    coarse = QuadratureConfig(nodes_per_panel=6, rel_tol=1e-5)
+    led = iso_ledger(example22, coarse)
+    dec = decompose(example22, config=coarse)
+    assert led.dual_length == dual_length(example22, coarse)
+    assert led.curve_area == signed_area(example22, coarse)
+    assert led.ball_area == example22.table(coarse).frame.area
+    assert (led.wc_area, led.cwms_area) == (dec.wc_area, dec.cwms_area)
+    # the coarse rule moves every term, the correction areas included, and
+    # the identity still closes to well below that rule's own error
+    fine = iso_ledger(example22)
+    assert abs(led.cwms_area - fine.cwms_area) > 1e-10
+    assert abs(led.dual_length - fine.dual_length) > 1e-10
+    assert abs(led.identity_residual) <= 1e-9 * led.lhs
+
+
+def test_radius_outside_its_domain_names_piece_and_parameter(euclidean):
+    with pytest.raises(DomainError, match=r"piece 0 .*t=0\.0013"):
+        curve_from_radius(euclidean, "sqrt(t - 0.5)")
