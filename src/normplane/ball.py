@@ -8,6 +8,8 @@ i + n must be the antipodal copy of piece i, so u(t + T) = -u(t).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import expressions as ex
@@ -120,12 +122,22 @@ class Frame:
                                      np.arange(len(ball.pieces) + 1))
         self.u = np.empty(self.t.shape + (2,))
         self.du = np.empty(self.t.shape + (2,))
+        self._pieces = ball.pieces
         for i, p in enumerate(ball.pieces):
             span = slice(self.first[i], self.first[i + 1])
             self.u[span] = p.point(self.t[span])
             self.du[span] = p.velocity(self.t[span])
         self.cross = cross2(self.u, self.du)
         self.area = 0.5 * float(self.integral(self.cross))
+
+    @cached_property
+    def u_lo(self):
+        """u at each panel's left end lo."""
+        u = np.empty(self.lo.shape + (2,))
+        for i, p in enumerate(self._pieces):
+            span = slice(self.first[i], self.first[i + 1])
+            u[span] = p.point(self.lo[span])
+        return u
 
     def cuts(self, i):
         """The panel ends on piece i, for i in the first half period."""
@@ -214,31 +226,35 @@ class UnitBall:
     def frame(self, config=None, radii=None):
         """The Frame of the panels the adaptive rule accepts for r u'.
 
-        radii holds one callable per piece (r = 1 when None).  Piece i and
-        its antipode i + n share one panel layout, chosen on both radii at
-        once.  Frames are cached by layout, so curves whose panels agree
-        share one Frame object.
+        radii holds one callable per piece (r = 1 when None); a callable
+        may return trailing axes, several radii at once, and the panels
+        then resolve all of them.  Piece i and its antipode i + n share one
+        panel layout, chosen on both radii at once.  Frames are cached by
+        layout, so curves whose panels agree share one Frame object.
         """
         config = config or self.quad
-        if radii is None and config in self._own_frames:
+        own = radii is None
+        if own and config in self._own_frames:
             return self._own_frames[config]
+        radii = radii or [np.ones_like] * len(self.pieces)
         n, T = self.n_half, self.T
         leaves = []
         for i, p in enumerate(self.pieces[:n]):
-            if radii is None:
-                f = p.velocity
-            else:
-                def f(s, i=i, p=p):
-                    r = np.stack([radii[i](s), radii[i + n](s + T)], axis=-1)
-                    return r[..., None] * p.velocity(s)[..., None, :]
+            def f(s, i=i, p=p):
+                r = np.stack([radii[i](s), radii[i + n](s + T)], axis=-1)
+                du = p.velocity(s).reshape((len(s),) + (1,) * (r.ndim - 1)
+                                           + (2,))
+                return r[..., None] * du
             integrate(f, p.t0, p.t1, config, leaves=leaves)
         frame = self._frame_of(tuple(leaves), config.nodes_per_panel)
-        if radii is None:
+        if own:
             self._own_frames[config] = frame
         return frame
 
     def common_frame(self, f1, f2):
         """The Frame of the coarsest panels that refine both frames'."""
+        if f1 is f2:
+            return f1
         leaves = []
         for i in range(self.n_half):
             cuts = np.union1d(f1.cuts(i), f2.cuts(i))

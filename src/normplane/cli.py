@@ -93,7 +93,7 @@ def analyze(curve_path, out_dir, rel_tol):
         config = QuadratureConfig(rel_tol=rel_tol) if rel_tol else None
         curve = jsonio.load_curve(curve_path)
         report = {"measures": measure_report(curve, config).to_dict()}
-        conv = is_convex(curve)
+        conv = is_convex(curve, config)
         report["convex"] = conv.convex and conv.sign >= 0
         if report["convex"]:
             report["ledger"] = iso_ledger(curve, config).to_dict()

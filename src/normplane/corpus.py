@@ -5,116 +5,151 @@ Modes with an even multiple of pi/T are T-periodic (symmetric curves, closed
 automatically); odd multiples are anti-periodic (constant-width material).
 Closure for general series is enforced by solving a 2x2 linear system for
 two anti-periodic correction coefficients, which never disturbs
-periodicity class, dual length, or the width profile.  Every radius is one
-series, the closing terms and the constant lift included.
+periodicity class, dual length, or the width profile.  A curve is a
+vector of mode coefficients on its ball's cached Modes.
 """
 
 from __future__ import annotations
 
+import weakref
+from functools import lru_cache
+
 import numpy as np
 
 from .ball import builtin_ball
-from .curve import AdmissibleCurve, NodeValues, curve_from_radius
+from .curve import AdmissibleCurve, NodeValues
 from .errors import NormPlaneError
 from .inequalities import Polygon, iso_ledger, minkowski_gap
-from .measures import dual_length, mixed_area, signed_area
+from .measures import mixed_area, signed_area
+from .quadrature import DEFAULT_CONFIG
 
 CORPUS_BALL_NAMES = ("euclidean", "square", "regular_2k_gon",
                      "mixed_example21")
 
+_KMAX = 4   # the highest mode of the default generators
 
+
+@lru_cache(maxsize=1)
 def corpus_balls():
-    return [builtin_ball(name) for name in CORPUS_BALL_NAMES]
-
-
-def _trig_series(ball, coeffs):
-    """sum of a_k cos(k pi (t - t0) / T) + b_k sin(...) for (k, a, b)."""
-    k, a, b = (np.array(c, dtype=float) for c in zip(*coeffs))
-    freq = k * np.pi / ball.T
-
-    def g(t):
-        phase = np.multiply.outer(np.asarray(t, dtype=float) - ball.t_start,
-                                  freq)
-        return np.cos(phase) @ a + np.sin(phase) @ b
-
-    return g
-
-
-def _closed(ball, coeffs):
-    """The series plus the k = 1 terms that make its curve close.
-
-    Closure gaps are linear in the radius, so the two k = 1 terms solve a
-    2x2 system; they change neither periodicity class, dual length nor the
-    width profile.  All three gaps are read on the frame of the series.
-    """
-    frame = ball.frame(radii=[_trig_series(ball, coeffs)] * len(ball.pieces))
-
-    def gap(c):
-        r = NodeValues(frame, _trig_series(ball, c)(frame.t))
-        return AdmissibleCurve(ball, r, (0.0, 0.0), quad=ball.quad,
-                               check_closure=False).closure_gap
-
-    M = np.column_stack([gap([(1, 1.0, 0.0)]), gap([(1, 0.0, 1.0)])])
-    a, b = np.linalg.solve(M, -gap(coeffs))
-    return [*coeffs, (1, a, b)]
+    """The builtin balls of the corpus, built once per process."""
+    return tuple(builtin_ball(name) for name in CORPUS_BALL_NAMES)
 
 
 def _grid(ball, per_piece=200):
-    chunks = []
-    for p in ball.pieces:
-        chunks.append(np.linspace(p.t0, p.t1, per_piece))
-    return np.concatenate(chunks)
+    return np.concatenate([np.linspace(p.t0, p.t1, per_piece)
+                           for p in ball.pieces])
 
 
-def _lifted_curve(ball, rng, coeffs):
+class Modes:
+    """The modes 1, cos(k pi (t - t0) / T), sin(...), k = 1..kmax, on one
+    Frame of a ball chosen for all of them: their values at the nodes and
+    on the lift grid, closure gaps and dual lengths.  Holds no reference
+    to the ball, which keys the cache weakly."""
+
+    def __init__(self, ball, kmax):
+        self.t_start = ball.t_start
+        self.freq = np.arange(1, kmax + 1) * np.pi / ball.T
+        frame = self.frame = ball.frame(DEFAULT_CONFIG,
+                                        [self.values] * len(ball.pieces))
+        self.nodes = self.values(frame.t)
+        self.gaps = np.einsum("pk,pkm,pkd->md", frame.weights, self.nodes,
+                              frame.du)
+        self.duals = frame.integral(self.nodes * frame.cross[..., None])
+        self.grid = self.values(_grid(ball))
+
+    def values(self, t):
+        """The modes at parameters t, shape t.shape + (2 kmax + 1,)."""
+        phase = np.multiply.outer(np.asarray(t, dtype=float)
+                                  - self.t_start, self.freq)
+        out = np.empty(phase.shape[:-1] + (2 * len(self.freq) + 1,))
+        out[..., 0] = 1.0
+        out[..., 1::2] = np.cos(phase)
+        out[..., 2::2] = np.sin(phase)
+        return out
+
+    def curve(self, ball, c, basepoint):
+        """The closed curve on ball with mode coefficients c."""
+        return AdmissibleCurve(ball, NodeValues(self.frame, self.nodes @ c),
+                               basepoint)
+
+
+_MODES = weakref.WeakKeyDictionary()   # ball -> {kmax: Modes}
+
+
+def _series(ball, terms):
+    """The Modes of ball and the coefficients of the terms (k, a, b), k >= 1,
+    each a cos(k pi (t - t0) / T) + b sin(...)."""
+    kmax = max(_KMAX, max(k for k, _, _ in terms))
+    cached = _MODES.setdefault(ball, {})
+    if kmax not in cached:
+        cached[kmax] = Modes(ball, kmax)
+    c = np.zeros(2 * kmax + 1)
+    for k, a, b in terms:
+        c[2 * k - 1] += a
+        c[2 * k] += b
+    return cached[kmax], c
+
+
+def _close(modes, c):
+    """Add to c the k = 1 terms that make its curve close.
+
+    Closure gaps are linear in the radius, so the two k = 1 terms solve a
+    2x2 system on the modes' gaps; they change neither periodicity class,
+    dual length nor the width profile.
+    """
+    c[1:3] += np.linalg.solve(modes.gaps[1:3].T, -(c @ modes.gaps))
+    return c
+
+
+def _lifted_curve(ball, rng, modes, c):
     """The series plus a random constant that makes it positive, placed at
     a random basepoint: a convex curve."""
-    vals = _trig_series(ball, coeffs)(_grid(ball))
-    lift = -float(np.min(vals)) + rng.uniform(0.3, 1.0) * (
+    vals = modes.grid @ c
+    c[0] += -float(np.min(vals)) + rng.uniform(0.3, 1.0) * (
         float(np.ptp(vals)) + 0.5)
-    base = rng.uniform(-1.0, 1.0, size=2)
-    return curve_from_radius(ball, _trig_series(ball, [*coeffs, (0, lift, 0)]),
-                             basepoint=base)
+    return modes.curve(ball, c, rng.uniform(-1.0, 1.0, size=2))
 
 
 def random_convex_curve(ball, rng, n_modes=4):
     """A random positively curved closed curve on the ball."""
-    coeffs = [(k, rng.normal(scale=1.0 / k), rng.normal(scale=1.0 / k))
-              for k in range(1, n_modes + 1)]
-    return _lifted_curve(ball, rng, _closed(ball, coeffs))
+    terms = [(k, rng.normal(scale=1.0 / k), rng.normal(scale=1.0 / k))
+             for k in range(1, n_modes + 1)]
+    modes, c = _series(ball, terms)
+    return _lifted_curve(ball, rng, modes, _close(modes, c))
 
 
 def random_symmetric_convex_curve(ball, rng, n_modes=2):
     """Symmetric (T-periodic radius) and convex; closed automatically."""
-    coeffs = [(2 * k, rng.normal(scale=0.5 / k), rng.normal(scale=0.5 / k))
-              for k in range(1, n_modes + 1)]
-    return _lifted_curve(ball, rng, coeffs)
+    terms = [(2 * k, rng.normal(scale=0.5 / k), rng.normal(scale=0.5 / k))
+             for k in range(1, n_modes + 1)]
+    return _lifted_curve(ball, rng, *_series(ball, terms))
 
 
 def random_constant_width_convex_curve(ball, rng, n_modes=2):
     """Constant width (anti-periodic radius part) and convex."""
-    coeffs = [(2 * k - 1, rng.normal(scale=0.5 / k),
-               rng.normal(scale=0.5 / k)) for k in range(1, n_modes + 1)]
-    return _lifted_curve(ball, rng, _closed(ball, coeffs))
+    terms = [(2 * k - 1, rng.normal(scale=0.5 / k),
+              rng.normal(scale=0.5 / k)) for k in range(1, n_modes + 1)]
+    modes, c = _series(ball, terms)
+    return _lifted_curve(ball, rng, modes, _close(modes, c))
 
 
 def random_symmetric_zero_dual(ball, rng, n_modes=2):
     """Symmetric with zero dual length (not necessarily convex)."""
-    coeffs = [(2 * k, rng.normal(), rng.normal())
-              for k in range(1, n_modes + 1)]
-    g = AdmissibleCurve(ball, _trig_series(ball, coeffs), (0.0, 0.0),
-                        quad=ball.quad, check_closure=False)
-    c = dual_length(g) / (2.0 * ball.area)
-    return curve_from_radius(ball, _trig_series(ball, [*coeffs, (0, -c, 0)]),
-                             basepoint=rng.uniform(-1.0, 1.0, size=2))
+    terms = [(2 * k, rng.normal(), rng.normal())
+             for k in range(1, n_modes + 1)]
+    modes, c = _series(ball, terms)
+    # the constant mode's dual length is 2 A(U)
+    c[0] -= (modes.duals @ c) / modes.duals[0]
+    return modes.curve(ball, c, rng.uniform(-1.0, 1.0, size=2))
 
 
 def random_constant_width_zero_dual(ball, rng, n_modes=2):
     """Constant width zero with zero dual length (anti-periodic radius)."""
-    coeffs = [(2 * k - 1, rng.normal(), rng.normal())
-              for k in range(1, n_modes + 1)]
-    return curve_from_radius(ball, _trig_series(ball, _closed(ball, coeffs)),
-                             basepoint=rng.uniform(-1.0, 1.0, size=2))
+    terms = [(2 * k - 1, rng.normal(), rng.normal())
+             for k in range(1, n_modes + 1)]
+    modes, c = _series(ball, terms)
+    return modes.curve(ball, _close(modes, c),
+                       rng.uniform(-1.0, 1.0, size=2))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +221,14 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     rng = np.random.default_rng(seed)
     balls = corpus_balls()
     violations = []
-    checked = 0
+
+    def flag(i, check, **values):
+        violations.append({"instance": i,
+                           "ball": CORPUS_BALL_NAMES[i % len(balls)],
+                           "check": check, **values})
+
     for i in range(n):
-        ball = balls[i % len(balls)]
-        curve = random_convex_curve(ball, rng)
+        curve = random_convex_curve(balls[i % len(balls)], rng)
         led = iso_ledger(curve)
         cwms_area = led.cwms_area
         if inject_bug == "cwms-sign":
@@ -197,25 +236,15 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
         residual = led.lhs - (led.curve_area - 2.0 * led.wc_area
                               - cwms_area)
         if abs(residual) > 1e-8 * led.lhs:
-            violations.append({
-                "instance": i, "ball": CORPUS_BALL_NAMES[i % len(balls)],
-                "check": "identity", "residual": residual, "lhs": led.lhs})
-        for name, gap in (("gap_sym", led.gap_sym),
-                          ("gap_cw", led.gap_cw),
-                          ("gap_busemann", led.gap_busemann)):
-            if gap < -1e-9 * led.scale:
-                violations.append({
-                    "instance": i,
-                    "ball": CORPUS_BALL_NAMES[i % len(balls)],
-                    "check": name, "gap": gap})
+            flag(i, "identity", residual=residual, lhs=led.lhs)
+        for name in ("gap_sym", "gap_cw", "gap_busemann"):
+            if getattr(led, name) < -1e-9 * led.scale:
+                flag(i, name, gap=getattr(led, name))
         mg = minkowski_gap(curve)
         mg_scale = max(led.dual_length ** 2,
                        4.0 * abs(led.curve_area) * led.ball_area, 1e-300)
         if mg < -1e-9 * mg_scale:
-            violations.append({
-                "instance": i, "ball": CORPUS_BALL_NAMES[i % len(balls)],
-                "check": "minkowski_gap", "gap": mg})
-        checked += 1
+            flag(i, "minkowski_gap", gap=mg)
 
     n_pairs = orthogonality_pairs if orthogonality_pairs is not None \
         else max(0, n // 4)
@@ -227,13 +256,11 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
         scale = max(abs(signed_area(sym)), abs(signed_area(cw)),
                     sym.diameter * cw.diameter, 1e-12)
         if abs(m) > 1e-9 * scale:
-            violations.append({
-                "instance": j, "ball": CORPUS_BALL_NAMES[j % len(balls)],
-                "check": "orthogonality", "mixed_area": m})
+            flag(j, "orthogonality", mixed_area=m)
 
     return {
         "seed": seed,
-        "curves_checked": checked,
+        "curves_checked": max(n, 0),
         "orthogonality_pairs": n_pairs,
         "violations": violations,
     }

@@ -101,6 +101,30 @@ class NodeTable:
         """r at reduced parameters t (1-D), on the panels of piece if given."""
         return self._series(self._r_coef, t, piece)
 
+    def radius_on(self, frame):
+        """r at the nodes of frame, a refinement of the table's own."""
+        return self.r if frame is self.frame else self.radius(
+            frame.t.ravel()).reshape(frame.t.shape)
+
+    def gamma_on(self, frame):
+        """gamma at the nodes of frame, a refinement of the table's own."""
+        return self.gamma if frame is self.frame else self.points(
+            frame.t.ravel()).reshape(frame.t.shape + (2,))
+
+    def knots(self):
+        """gamma at every panel start, then at every node, shape (N, 2)."""
+        return np.concatenate([self.start, self.gamma.reshape(-1, 2)])
+
+    def radius_samples(self):
+        """(params, r) along the period: each panel's left end, its nodes
+        and its right end, the ends from the panel's Legendre series."""
+        signs = (-1.0) ** np.arange(self._r_coef.shape[1])
+        f = self.frame
+        ts = np.column_stack([f.lo, f.t, f.lo + 2.0 * f.half])
+        r = np.column_stack([self._r_coef @ signs, self.r,
+                             self._r_coef.sum(axis=1)])
+        return ts.ravel(), r.ravel()
+
 
 class AdmissibleCurve:
     """A closed curve subordinate to a ball's piece partition.
@@ -170,10 +194,11 @@ class AdmissibleCurve:
             out[sel] = self.radii[i](t[sel])
         return out[0] if scalar else out
 
-    def point(self, t):
-        """gamma(t) = basepoint + integral of r u' from the start."""
+    def point(self, t, config=None):
+        """gamma(t) = basepoint + integral of r u' from the start, read
+        from the table of config (default: the curve's own)."""
         t = self.ball.reduce(t)
-        return self.table().points(t.ravel()).reshape(t.shape + (2,))
+        return self.table(config).points(t.ravel()).reshape(t.shape + (2,))
 
     def velocity(self, t):
         return self.radius(t)[..., None] * self.ball.velocity(t)
@@ -182,8 +207,7 @@ class AdmissibleCurve:
     def diameter(self):
         """Diagonal of the bounding box of the node table's points."""
         if self._diameter is None:
-            table = self.table()
-            pts = np.concatenate([table.start, table.gamma.reshape(-1, 2)])
+            pts = self.table().knots()
             self._diameter = float(np.linalg.norm(pts.max(axis=0)
                                                   - pts.min(axis=0)))
         return self._diameter
@@ -201,28 +225,32 @@ class AdmissibleCurve:
 
     # -- algebra ------------------------------------------------------------
 
-    def translated(self, v):
-        return AdmissibleCurve(self.ball, self.radii,
-                               self.basepoint + np.asarray(v, float),
+    def _derived(self, frame, r, basepoint):
+        """A curve on the same ball with radius r at the nodes of frame."""
+        return AdmissibleCurve(self.ball, NodeValues(frame, r), basepoint,
                                quad=self.quad, check_closure=False)
+
+    def translated(self, v):
+        table = self.table()
+        return self._derived(table.frame, table.r,
+                             self.basepoint + np.asarray(v, float))
 
     def radius_scaled(self, c, basepoint=None):
         """The curve with radius c*r (displacements scale by c)."""
-        radii = [(lambda t, r=r: c * r(t)) for r in self.radii]
-        if basepoint is None:
-            basepoint = self.basepoint
-        return AdmissibleCurve(self.ball, radii, basepoint, quad=self.quad,
-                               check_closure=False)
+        table = self.table()
+        return self._derived(table.frame, c * table.r,
+                             self.basepoint if basepoint is None
+                             else basepoint)
 
 
 def pointwise_sum(c1, c2):
     """The curve t -> c1(t) + c2(t); radii add, basepoints add."""
     if c1.ball is not c2.ball:
         raise ValueError("curves must share a ball")
-    radii = [(lambda t, a=a, b=b: a(t) + b(t))
-             for a, b in zip(c1.radii, c2.radii)]
-    return AdmissibleCurve(c1.ball, radii, c1.basepoint + c2.basepoint,
-                           quad=c1.quad, check_closure=False)
+    t1, t2 = c1.table(), c2.table(c1.quad)
+    frame = c1.ball.common_frame(t1.frame, t2.frame)
+    return c1._derived(frame, t1.radius_on(frame) + t2.radius_on(frame),
+                       c1.basepoint + c2.basepoint)
 
 
 def curve_from_radius(ball, radius, basepoint=(0.0, 0.0),
@@ -288,15 +316,10 @@ class ConvexityResult:
     witness: float | None  # a parameter near a sign flip when not convex
 
 
-def _radius_samples(curve, per_piece=64):
-    """(params, radii) at quadrature nodes plus one-sided piece endpoints."""
-    ts = curve.sample_params(per_piece)
-    return ts, curve.radius(ts)
-
-
-def is_convex(curve, per_piece=64):
-    """Classify by the sign pattern of the curvature radius."""
-    ts, r = _radius_samples(curve, per_piece)
+def is_convex(curve, config=None):
+    """Classify by the sign pattern of the curvature radius at the nodes
+    and panel ends of the curve's node table for config."""
+    ts, r = curve.table(config).radius_samples()
     scale = float(np.max(np.abs(r)))
     if scale == 0.0:
         return ConvexityResult(True, +1, None)  # point curve
@@ -309,17 +332,16 @@ def is_convex(curve, per_piece=64):
     return ConvexityResult(True, +1 if has_pos or not has_neg else -1, None)
 
 
-def convexifying_shift(curve, per_piece=64):
-    """Smallest K >= 0 (on the sampling grid) with min r + K >= 0."""
-    _, r = _radius_samples(curve, per_piece)
+def convexifying_shift(curve, config=None):
+    """Smallest K >= 0 (at the table's nodes and panel ends) with
+    min r + K >= 0."""
+    _, r = curve.table(config).radius_samples()
     return float(max(0.0, -np.min(r)))
 
 
 def shifted_by_ball(curve, K):
     """The curve gamma + K u (radius r + K)."""
-    radii = [(lambda t, r=r, p=p, K=K: r(t) + K)
-             for r, p in zip(curve.radii, curve.ball.pieces)]
-    base = curve.basepoint + K * curve.ball.point(
-        np.array(curve.ball.t_start))
-    return AdmissibleCurve(curve.ball, radii, base, quad=curve.quad,
-                           check_closure=False)
+    table = curve.table()
+    # the first panel starts at t0
+    base = curve.basepoint + K * table.frame.u_lo[0]
+    return curve._derived(table.frame, table.r + K, base)

@@ -46,8 +46,9 @@ def cwms(curve, w=None, config=None):
     if w is None:
         w = dual_length(curve, config) / table.frame.area
     r = 0.5 * (table.r + _antipodal(table.r) - w)
+    # the first panel starts at t0
     base = 0.5 * (table.start[0] - _antipodal(table.start)[0]
-                  - w * curve.ball.point(np.array(curve.ball.t_start)))
+                  - w * table.frame.u_lo[0])
     return AdmissibleCurve(curve.ball, NodeValues(table.frame, r), base,
                            quad=config, check_closure=False)
 
@@ -87,11 +88,11 @@ def decompose(curve, check=True, config=None):
     wc_curve = wigner_caustic(curve, config)
     cw_curve = cwms(curve, w, config)
 
-    ts = curve.sample_params(32)
-    recon = (wc_curve.point(ts) + cw_curve.point(ts)
-             + 0.5 * w * curve.ball.point(ts))
-    residual = float(np.max(np.linalg.norm(table.points(ts) - recon,
-                                           axis=-1)))
+    # the identity at every panel start and node of the table
+    u = np.concatenate([table.frame.u_lo, table.frame.u.reshape(-1, 2)])
+    recon = (wc_curve.table(config).knots() + cw_curve.table(config).knots()
+             + 0.5 * w * u)
+    residual = float(np.max(np.linalg.norm(table.knots() - recon, axis=-1)))
     tol = 1e-9 * max(curve.diameter, curve.ball.diameter)
     if check and residual > tol:
         raise DecompositionResidual(

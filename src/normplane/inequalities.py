@@ -28,7 +28,8 @@ from .measures import dual_length, shoelace_area, signed_area
 def minkowski_gap(curve, config=None):
     """L*(gamma)^2 - 4 A(gamma) A(U), non-negative for admissible curves."""
     L = dual_length(curve, config)
-    return L * L - 4.0 * signed_area(curve, config) * curve.ball.area
+    A_U = curve.table(config).frame.area
+    return L * L - 4.0 * signed_area(curve, config) * A_U
 
 
 @dataclass
@@ -66,12 +67,12 @@ def iso_ledger(curve, config=None):
     Every term, A(U) included, is read from the curve's node table for
     config (default: the curve's own).
     """
-    conv = is_convex(curve)
+    config = config or curve.quad
+    conv = is_convex(curve, config)
     if not (conv.convex and conv.sign >= 0):
         raise NotConvexInput(
             "the isoperimetric identity requires a positively oriented "
             f"convex curve (witness t={conv.witness})")
-    config = config or curve.quad
     L = dual_length(curve, config)
     A_U = curve.table(config).frame.area
     A = signed_area(curve, config)

@@ -3,13 +3,12 @@ areas, mean width, support values, and the width/symmetry predicates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ball import cross2
 from .errors import MismatchedBalls
-from .quadrature import gauss_legendre
 
 
 def dual_length(curve, config=None):
@@ -29,13 +28,8 @@ def mixed_area(c1, c2, config=None):
         raise MismatchedBalls("curves live on different balls")
     config = config or c1.quad
     t1, t2 = c1.table(config), c2.table(config)
-    if t1.frame is t2.frame:
-        frame, g1, r2 = t2.frame, t1.gamma, t2.r
-    else:
-        frame = c1.ball.common_frame(t1.frame, t2.frame)
-        ts = frame.t.ravel()
-        g1 = t1.points(ts).reshape(frame.t.shape + (2,))
-        r2 = t2.radius(ts).reshape(frame.t.shape)
+    frame = c1.ball.common_frame(t1.frame, t2.frame)
+    g1, r2 = t1.gamma_on(frame), t2.radius_on(frame)
     return 0.5 * float(frame.integral(cross2(g1, r2[..., None] * frame.du)))
 
 
@@ -45,31 +39,23 @@ def signed_area(curve, config=None):
 
 
 def mean_width(curve, config=None):
-    """w = L*(gamma) / A(U)."""
-    return dual_length(curve, config) / curve.ball.area
+    """w = L*(gamma) / A(U), both summed on the table for config."""
+    return dual_length(curve, config) / curve.table(config).frame.area
 
 
-def support_value(curve, t):
+def support_value(curve, t, config=None):
     """[gamma(t), v(t)] - the support functional at the dual point."""
-    g = curve.point(t)
+    g = curve.point(t, config)
     v = curve.ball.dual(t)
     return cross2(g, v)
 
 
-def _interior_params(ball, per_piece=48):
-    """Strictly interior quadrature nodes of every piece (duals defined)."""
-    x, _ = gauss_legendre(per_piece)
-    chunks = []
-    for p in ball.pieces:
-        chunks.append(0.5 * (p.t0 + p.t1) + 0.5 * (p.t1 - p.t0) * x)
-    return np.concatenate(chunks)
-
-
-def width_profile(curve, ts=None, per_piece=48):
+def width_profile(curve, ts=None, per_piece=48, config=None):
     """(params, widths) with width(t) = [gamma,v](t) + [gamma,v](t+T)."""
     if ts is None:
-        ts = _interior_params(curve.ball, per_piece)
-    w = support_value(curve, ts) + support_value(curve, ts + curve.ball.T)
+        ts = curve.sample_params(per_piece, endpoints=False)
+    w = (support_value(curve, ts, config)
+         + support_value(curve, ts + curve.ball.T, config))
     return ts, w
 
 
@@ -97,15 +83,15 @@ def _width_check(curve, ts, w, tol=None):
     return WidthCheck(False, None, float(ts[np.argmax(np.abs(w - mean))]))
 
 
-def is_symmetric(curve, tol=None, per_piece=48):
+def is_symmetric(curve, tol=None, per_piece=48, config=None):
     """Symmetry about the midpoint-curve mean.
 
     The curve is first re-centered by the mean of its midpoint curve
     (gamma(t) + gamma(t+T)) / 2, so symmetry about any center counts.
     """
-    ts = _interior_params(curve.ball, per_piece)
-    g = curve.point(ts)
-    gT = curve.point(ts + curve.ball.T)
+    ts = curve.sample_params(per_piece, endpoints=False)
+    g = curve.point(ts, config)
+    gT = curve.point(ts + curve.ball.T, config)
     mid = 0.5 * (g + gT)
     center = mid.mean(axis=0)
     dev = float(np.max(np.linalg.norm(g + gT - 2 * center, axis=-1)))
@@ -155,17 +141,16 @@ class MeasureReport:
 
 
 def measure_report(curve, config=None):
-    """Compute all scalar measures of a curve in one go."""
+    """Compute all scalar measures of a curve in one go, every one read
+    from its node table for config (default: the curve's own)."""
     L = dual_length(curve, config)
-    A = signed_area(curve, config)
-    w = L / curve.ball.area
-    ts, profile = width_profile(curve)
+    ts, profile = width_profile(curve, config=config)
     cw = _width_check(curve, ts, profile)
     return MeasureReport(
         dual_length=L,
-        signed_area=A,
-        mean_width=w,
-        is_symmetric=is_symmetric(curve),
+        signed_area=signed_area(curve, config),
+        mean_width=L / curve.table(config).frame.area,
+        is_symmetric=is_symmetric(curve, config=config),
         is_constant_width=cw.constant,
         width_constant=cw.value,
         width_profile_min=float(np.min(profile)),

@@ -1,14 +1,17 @@
 """The node-table core against an independent nested-quadrature reference,
-and properties of mixed areas between curves with different panel layouts."""
+properties of mixed areas between curves with different panel layouts, and
+the reports, checks and derived curves that read a curve's table."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normplane import (QuadratureConfig, builtin_ball, cross2,
-                       curve_from_radius, decompose, dual_length, iso_ledger,
-                       mixed_area, signed_area)
+from normplane import (QuadratureConfig, builtin_ball, convexifying_shift,
+                       cross2, curve_from_radius, decompose, dual_length,
+                       is_convex, iso_ledger, measure_report, mixed_area,
+                       pointwise_sum, shifted_by_ball, signed_area,
+                       support_value)
 from normplane.corpus import random_convex_curve
 from normplane.errors import DomainError
 from normplane.quadrature import gauss_legendre, integrate
@@ -153,3 +156,53 @@ def test_ledger_terms_share_the_config(example22):
 def test_radius_outside_its_domain_names_piece_and_parameter(euclidean):
     with pytest.raises(DomainError, match=r"piece 0 .*t=0\.0013"):
         curve_from_radius(euclidean, "sqrt(t - 0.5)")
+
+
+def test_measure_report_reads_the_table_of_its_config(example22):
+    coarse = QuadratureConfig(nodes_per_panel=6, rel_tol=1e-5)
+    rep = measure_report(example22, coarse)
+    table = example22.table(coarse)
+    assert rep.mean_width == dual_length(example22, coarse) / table.frame.area
+    assert rep.signed_area == signed_area(example22, coarse)
+    # the width profile samples the coarse table, not the curve's own
+    ts = example22.sample_params(48, endpoints=False)
+    want = (support_value(example22, ts, coarse)
+            + support_value(example22, ts + example22.ball.T, coarse))
+    assert rep.width_profile_min == float(np.min(want))
+    assert rep.width_profile_max == float(np.max(want))
+
+
+def test_derived_curves_reuse_the_parents_frame(euclidean, monkeypatch):
+    c = random_convex_curve(euclidean, np.random.default_rng(8))
+    wavy = _wavy_curve(euclidean, 20, 0.5, (0.0, 0.0))
+    frame = c.table().frame
+
+    def no_panel_selection(*args, **kwargs):
+        raise AssertionError("a derived curve ran the adaptive rule")
+
+    monkeypatch.setattr("normplane.ball.integrate", no_panel_selection)
+    assert c.translated((1.0, -2.0)).table().frame is frame
+    assert c.radius_scaled(2.5).table().frame is frame
+    assert shifted_by_ball(c, 0.7).table().frame is frame
+    assert pointwise_sum(c, c.translated((3.0, 0.0))).table().frame is frame
+    # differing frames meet on the coarsest panels that refine both
+    total = pointwise_sum(c, wavy)
+    assert total.table().frame is euclidean.common_frame(
+        frame, wavy.table().frame)
+    ts = np.random.default_rng(9).uniform(0.0, 4.0, size=50)
+    np.testing.assert_allclose(total.radius(ts),
+                               c.radius(ts) + wavy.radius(ts), atol=1e-12)
+    np.testing.assert_allclose(total.point(ts), c.point(ts) + wavy.point(ts),
+                               atol=1e-12 * total.diameter)
+
+
+def test_is_convex_reads_the_panel_ends(euclidean):
+    # r < 0 only within 5e-4 of t = 0.5 and 2.5, panel ends that no node
+    # of the table (nor of 64 Gauss nodes per piece) comes near
+    curve = curve_from_radius(
+        euclidean, lambda t: (1 - 1e-6) - np.exp(np.cos(np.pi * (t - 0.5))
+                                                 - 1))
+    assert 0.5 in curve.table().frame.lo
+    res = is_convex(curve)
+    assert not res.convex and abs(res.witness - 0.5) < 1e-2
+    assert convexifying_shift(curve) == pytest.approx(1e-6, rel=1e-6)
