@@ -25,19 +25,22 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-class Piece:
-    """One boundary piece: a smooth arc or a straight segment."""
+def _interval(t0, t1):
+    if not t0 < t1:
+        raise ValidationError(f"piece interval [{t0}, {t1}] is empty")
+    return float(t0), float(t1)
 
-    def __init__(self, kind, x_expr, y_expr, t0, t1, p0=None, p1=None):
-        if not t0 < t1:
-            raise ValidationError(f"piece interval [{t0}, {t1}] is empty")
-        self.kind = kind
+
+class Piece:
+    """One boundary piece: a smooth arc given by coordinate expressions
+    (straight pieces are Segments)."""
+
+    kind = "arc"
+
+    def __init__(self, x_expr, y_expr, t0, t1):
+        self.t0, self.t1 = _interval(t0, t1)
         self.x_expr = x_expr
         self.y_expr = y_expr
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        self.p0 = None if p0 is None else np.asarray(p0, dtype=float)
-        self.p1 = None if p1 is None else np.asarray(p1, dtype=float)
         dx = ex.differentiate(x_expr)
         dy = ex.differentiate(y_expr)
         self._f = (ex.compile_fn(x_expr), ex.compile_fn(y_expr))
@@ -47,21 +50,11 @@ class Piece:
 
     @classmethod
     def arc(cls, x_expr, y_expr, t0, t1):
-        return cls("arc", ex.as_expr(x_expr), ex.as_expr(y_expr), t0, t1)
+        return cls(ex.as_expr(x_expr), ex.as_expr(y_expr), t0, t1)
 
-    @classmethod
-    def segment(cls, p0, p1, t0, t1):
-        p0 = np.asarray(p0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
-        exprs = []
-        for k in range(2):
-            # p0 + (t - t0) * (p1 - p0) / (t1 - t0)
-            slope = (p1[k] - p0[k]) / (t1 - t0)
-            e = ex.BinOp("+", ex.Num(float(p0[k])),
-                         ex.BinOp("*", ex.Num(float(slope)),
-                                  ex.BinOp("-", ex.Var(), ex.Num(float(t0)))))
-            exprs.append(e)
-        return cls("segment", exprs[0], exprs[1], t0, t1, p0=p0, p1=p1)
+    @staticmethod
+    def segment(p0, p1, t0, t1):
+        return Segment(p0, p1, t0, t1)
 
     def point(self, t):
         return np.stack([self._f[0](t), self._f[1](t)], axis=-1)
@@ -74,20 +67,45 @@ class Piece:
 
     def negated_shifted(self, shift):
         """The antipodal copy: u_new(t) = -u(t - shift) on [t0+shift, t1+shift]."""
-        if self.kind == "segment":
-            return Piece.segment(-self.p0, -self.p1,
-                                 self.t0 + shift, self.t1 + shift)
         repl = ex.BinOp("-", ex.Var(), ex.Num(float(shift)))
         return Piece.arc(ex.Neg(ex.substitute(self.x_expr, repl)),
                          ex.Neg(ex.substitute(self.y_expr, repl)),
                          self.t0 + shift, self.t1 + shift)
 
     def scaled(self, c):
-        if self.kind == "segment":
-            return Piece.segment(c * self.p0, c * self.p1, self.t0, self.t1)
         return Piece.arc(ex.BinOp("*", ex.Num(float(c)), self.x_expr),
                          ex.BinOp("*", ex.Num(float(c)), self.y_expr),
                          self.t0, self.t1)
+
+
+class Segment(Piece):
+    """A straight piece from p0 to p1: p0 + (t - t0) * slope."""
+
+    kind = "segment"
+
+    def __init__(self, p0, p1, t0, t1):
+        self.t0, self.t1 = _interval(t0, t1)
+        self.p0 = np.asarray(p0, dtype=float)
+        self.p1 = np.asarray(p1, dtype=float)
+        self.slope = (self.p1 - self.p0) / (self.t1 - self.t0)
+
+    def point(self, t):
+        t = np.asarray(t, dtype=float)
+        return self.p0 + self.slope * (t[..., None] - self.t0)
+
+    def velocity(self, t):
+        out = np.empty(np.shape(t) + (2,))
+        out[...] = self.slope
+        return out
+
+    def accel(self, t):
+        return np.zeros(np.shape(t) + (2,))
+
+    def negated_shifted(self, shift):
+        return Segment(-self.p0, -self.p1, self.t0 + shift, self.t1 + shift)
+
+    def scaled(self, c):
+        return Segment(c * self.p0, c * self.p1, self.t0, self.t1)
 
 
 # frames a ball keeps; the oldest is dropped first
@@ -165,7 +183,7 @@ class UnitBall:
     Immutable after construction; use :func:`build_ball`.
     """
 
-    def __init__(self, pieces, breaks, T, diameter, quad=DEFAULT_CONFIG):
+    def __init__(self, pieces, breaks, T, diameter):
         self.pieces = tuple(pieces)
         self.breaks = np.asarray(breaks, dtype=float)
         self.T = float(T)
@@ -174,9 +192,8 @@ class UnitBall:
         self.diameter = float(diameter)
         self.eps_reg = 1e-9 * self.diameter
         self.tol_geom = 1e-9 * self.diameter
-        self.quad = quad
         self._frames = {}       # (panels, nodes) -> Frame
-        self._own_frames = {}   # config -> Frame of r = 1
+        self._own_frame = None  # the Frame of r = 1
 
     # -- parameter bookkeeping ----------------------------------------------
 
@@ -194,25 +211,27 @@ class UnitBall:
     def antipodal(self, i):
         return (i + self.n_half) % len(self.pieces)
 
-    def _dispatch(self, t, method):
+    def dispatch(self, t, fns, tail=()):
+        """fns[i] on the parameters t that fall on piece i, trailing axes
+        tail (right piece at a vertex)."""
         t = self.reduce(t)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         idx = self.piece_index(t)
-        out = np.empty(t.shape + (2,))
+        out = np.empty(t.shape + tail)
         for i in np.unique(idx):
             sel = idx == i
-            out[sel] = getattr(self.pieces[i], method)(t[sel])
+            out[sel] = fns[i](t[sel])
         return out[0] if scalar else out
 
     def point(self, t):
-        return self._dispatch(t, "point")
+        return self.dispatch(t, [p.point for p in self.pieces], (2,))
 
     def velocity(self, t):
-        return self._dispatch(t, "velocity")
+        return self.dispatch(t, [p.velocity for p in self.pieces], (2,))
 
     def accel(self, t):
-        return self._dispatch(t, "accel")
+        return self.dispatch(t, [p.accel for p in self.pieces], (2,))
 
     def dual(self, t):
         """Dual-ball point v(t) = u'(t) / [u(t), u'(t)]."""
@@ -223,20 +242,16 @@ class UnitBall:
             raise DegenerateDual("[u, u'] vanishes")
         return du / np.asarray(denom)[..., None]
 
-    def frame(self, config=None, radii=None):
-        """The Frame of the panels the adaptive rule accepts for r u'.
+    def frame(self, quad, radii):
+        """The Frame of the panels the adaptive rule of quad accepts for
+        r u'.
 
-        radii holds one callable per piece (r = 1 when None); a callable
-        may return trailing axes, several radii at once, and the panels
-        then resolve all of them.  Piece i and its antipode i + n share one
-        panel layout, chosen on both radii at once.  Frames are cached by
-        layout, so curves whose panels agree share one Frame object.
+        radii holds one callable per piece; a callable may return trailing
+        axes, several radii at once, and the panels then resolve all of
+        them.  Piece i and its antipode i + n share one panel layout, chosen
+        on both radii at once.  Frames are cached by layout, so curves whose
+        panels agree share one Frame object.
         """
-        config = config or self.quad
-        own = radii is None
-        if own and config in self._own_frames:
-            return self._own_frames[config]
-        radii = radii or [np.ones_like] * len(self.pieces)
         n, T = self.n_half, self.T
         leaves = []
         for i, p in enumerate(self.pieces[:n]):
@@ -245,11 +260,8 @@ class UnitBall:
                 du = p.velocity(s).reshape((len(s),) + (1,) * (r.ndim - 1)
                                            + (2,))
                 return r[..., None] * du
-            integrate(f, p.t0, p.t1, config, leaves=leaves)
-        frame = self._frame_of(tuple(leaves), config.nodes_per_panel)
-        if own:
-            self._own_frames[config] = frame
-        return frame
+            integrate(f, p.t0, p.t1, quad, leaves=leaves)
+        return self._frame_of(tuple(leaves), quad.nodes_per_panel)
 
     def common_frame(self, f1, f2):
         """The Frame of the coarsest panels that refine both frames'."""
@@ -273,21 +285,19 @@ class UnitBall:
     @property
     def area(self):
         """Enclosed area, A(U) = 1/2 * integral of [u, u']."""
-        return self.frame().area
+        if self._own_frame is None:
+            self._own_frame = self.frame(DEFAULT_CONFIG,
+                                         [np.ones_like] * len(self.pieces))
+        return self._own_frame.area
 
     def scaled(self, c):
         """The ball scaled by a positive factor about the origin."""
         if c <= 0:
             raise ValidationError("scale factor must be positive")
-        return build_ball([p.scaled(c) for p in self.pieces], quad=self.quad)
+        return build_ball([p.scaled(c) for p in self.pieces])
 
 
-def _check_nodes(n):
-    x, _ = gauss_legendre(n)
-    return np.concatenate(([-1.0], x, [1.0]))
-
-
-def build_ball(pieces, auto_symmetrize=False, quad=DEFAULT_CONFIG):
+def build_ball(pieces, auto_symmetrize=False):
     """Validate pieces and assemble a UnitBall.
 
     With auto_symmetrize, the given pieces cover only the first half period
@@ -313,7 +323,8 @@ def build_ball(pieces, auto_symmetrize=False, quad=DEFAULT_CONFIG):
     n = len(pieces) // 2
 
     # sample nodes per piece (interior Gauss nodes plus endpoints)
-    ref = _check_nodes(quad.nodes_per_panel)
+    x, _ = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)
+    ref = np.concatenate(([-1.0], x, [1.0]))
     samples = []
     for p in pieces:
         ts = 0.5 * (p.t0 + p.t1) + 0.5 * (p.t1 - p.t0) * ref
@@ -371,7 +382,7 @@ def build_ball(pieces, auto_symmetrize=False, quad=DEFAULT_CONFIG):
                                             np.linalg.norm(vr))):
             raise NotConvex(f"right turn at vertex t={cur.t0}")
 
-    return UnitBall(pieces, breaks, T, diameter, quad=quad)
+    return UnitBall(pieces, breaks, T, diameter)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .decomp import decompose as decompose_curve
 from .errors import NormPlaneError, ValidationError
 from .inequalities import iso_ledger, lhuilier_check
 from .measures import measure_report
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
 def _diag(name, detail):
@@ -90,13 +90,14 @@ def analyze(curve_path, out_dir, rel_tol):
     """Measures plus the isoperimetric ledger for a curve."""
 
     def run():
-        config = QuadratureConfig(rel_tol=rel_tol) if rel_tol else None
-        curve = jsonio.load_curve(curve_path)
-        report = {"measures": measure_report(curve, config).to_dict()}
-        conv = is_convex(curve, config)
+        quad = (QuadratureConfig(rel_tol=rel_tol) if rel_tol
+                else DEFAULT_CONFIG)
+        curve = jsonio.load_curve(curve_path, quad=quad)
+        report = {"measures": measure_report(curve).to_dict()}
+        conv = is_convex(curve)
         report["convex"] = conv.convex and conv.sign >= 0
         if report["convex"]:
-            report["ledger"] = iso_ledger(curve, config).to_dict()
+            report["ledger"] = iso_ledger(curve).to_dict()
         _emit(report, out_dir, "analysis.json")
 
     _handle(run)

@@ -1,10 +1,11 @@
 """Admissible curves: closed curves with gamma'(t) = r(t) u'(t) per piece.
 
 A curve is stored as its ball, a per-piece curvature-radius function and a
-basepoint.  Its numbers come from a node table, built once per
-QuadratureConfig: the radius and the points at the Gauss-Legendre nodes of
-the panels that the adaptive rule accepts for r u'.  Points between nodes
-come from each panel's Legendre series of the integral of r u'.
+basepoint.  Its numbers come from one node table, built at construction
+under the curve's QuadratureConfig quad: the radius and the points at the
+Gauss-Legendre nodes of the panels that the adaptive rule accepts for
+r u'.  Points between nodes come from each panel's Legendre series of the
+integral of r u'.
 """
 
 from __future__ import annotations
@@ -131,18 +132,18 @@ class AdmissibleCurve:
 
     radii is one radius per ball piece, or a single one for all pieces: an
     Expr, expression text, a constant, a vectorized callable, or
-    NodeValues on the frame of quad.
+    NodeValues on a frame of quad.  quad is the quadrature rule of every
+    number the curve reports; curves derived from it keep it.
     """
 
     def __init__(self, ball, radii, basepoint, quad=DEFAULT_CONFIG,
-                 check_closure=True, tol_close=None):
+                 check_closure=True):
         self.ball = ball
         self.basepoint = np.asarray(basepoint, dtype=float)
         self.quad = quad
-        self._tables = {}
+        table = None
         if isinstance(radii, NodeValues):
-            table = self._tables[quad] = NodeTable(radii.frame, radii.values,
-                                                   self.basepoint)
+            table = NodeTable(radii.frame, radii.values, self.basepoint)
             radii = [_piece_radius(table, i) for i in range(len(ball.pieces))]
         elif callable(radii) or isinstance(radii,
                                            (ex.Expr, str, int, float)):
@@ -152,53 +153,44 @@ class AdmissibleCurve:
                 f"need one radius per ball piece ({len(ball.pieces)}), "
                 f"got {len(radii)}")
         self.radii = [_coerce_radius(r) for r in radii]
+        self._table = table or self._tabulate()
 
-        self.closure_gap = self.table().gap
+        self.closure_gap = self._table.gap
         self.closure_residual = float(np.linalg.norm(self.closure_gap))
         self._diameter = None
 
         if check_closure:
-            if tol_close is None:
-                tol_close = 1e-8 * max(self.diameter, ball.diameter)
+            tol_close = 1e-8 * max(self.diameter, ball.diameter)
             if self.closure_residual > tol_close:
                 raise NotClosed(
                     f"curve does not close: residual "
                     f"{self.closure_residual:.3e} > {tol_close:.3e}")
 
-    def table(self, config=None):
-        """The NodeTable for config (default: the curve's own), built once."""
-        config = config or self.quad
-        table = self._tables.get(config)
-        if table is None:
-            samplers = [_sampler(i, r) for i, r in enumerate(self.radii)]
-            frame = self.ball.frame(config, samplers)
-            r = np.empty(frame.t.shape)
-            for i, sample in enumerate(samplers):
-                span = slice(frame.first[i], frame.first[i + 1])
-                r[span] = sample(frame.t[span])
-            table = self._tables[config] = NodeTable(frame, r,
-                                                     self.basepoint)
-        return table
+    def _tabulate(self):
+        """The NodeTable on the panels that quad accepts for the radii."""
+        samplers = [_sampler(i, r) for i, r in enumerate(self.radii)]
+        frame = self.ball.frame(self.quad, samplers)
+        r = np.empty(frame.t.shape)
+        for i, sample in enumerate(samplers):
+            span = slice(frame.first[i], frame.first[i + 1])
+            r[span] = sample(frame.t[span])
+        return NodeTable(frame, r, self.basepoint)
+
+    def table(self):
+        """The curve's NodeTable."""
+        return self._table
 
     # -- evaluation ---------------------------------------------------------
 
     def radius(self, t):
         """Curvature radius r(t), vectorized (right piece at vertices)."""
-        t = self.ball.reduce(t)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        idx = self.ball.piece_index(t)
-        out = np.empty(t.shape)
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = self.radii[i](t[sel])
-        return out[0] if scalar else out
+        return self.ball.dispatch(t, self.radii)
 
-    def point(self, t, config=None):
+    def point(self, t):
         """gamma(t) = basepoint + integral of r u' from the start, read
-        from the table of config (default: the curve's own)."""
+        from the node table."""
         t = self.ball.reduce(t)
-        return self.table(config).points(t.ravel()).reshape(t.shape + (2,))
+        return self._table.points(t.ravel()).reshape(t.shape + (2,))
 
     def velocity(self, t):
         return self.radius(t)[..., None] * self.ball.velocity(t)
@@ -212,16 +204,11 @@ class AdmissibleCurve:
                                                   - pts.min(axis=0)))
         return self._diameter
 
-    def sample_params(self, per_piece=64, endpoints=True):
-        """Quadrature nodes (plus optional endpoints) on every piece."""
+    def sample_params(self, per_piece):
+        """per_piece Gauss-Legendre nodes on every piece."""
         x, _ = gauss_legendre(per_piece)
-        chunks = []
-        for p in self.ball.pieces:
-            ts = 0.5 * (p.t0 + p.t1) + 0.5 * (p.t1 - p.t0) * x
-            if endpoints:
-                ts = np.concatenate(([p.t0], ts, [p.t1 - 1e-12 * (p.t1 - p.t0)]))
-            chunks.append(ts)
-        return np.concatenate(chunks)
+        return np.concatenate([0.5 * (p.t0 + p.t1) + 0.5 * (p.t1 - p.t0) * x
+                               for p in self.ball.pieces])
 
     # -- algebra ------------------------------------------------------------
 
@@ -247,7 +234,9 @@ def pointwise_sum(c1, c2):
     """The curve t -> c1(t) + c2(t); radii add, basepoints add."""
     if c1.ball is not c2.ball:
         raise ValueError("curves must share a ball")
-    t1, t2 = c1.table(), c2.table(c1.quad)
+    if c1.quad != c2.quad:
+        raise ValueError("curves must share a quadrature rule")
+    t1, t2 = c1.table(), c2.table()
     frame = c1.ball.common_frame(t1.frame, t2.frame)
     return c1._derived(frame, t1.radius_on(frame) + t2.radius_on(frame),
                        c1.basepoint + c2.basepoint)
@@ -263,12 +252,12 @@ def curve_from_radius(ball, radius, basepoint=(0.0, 0.0),
     return AdmissibleCurve(ball, radius, basepoint, quad=quad)
 
 
-def curve_from_explicit(ball, pieces, tol=1e-8, quad=DEFAULT_CONFIG):
+def curve_from_explicit(ball, pieces, quad=DEFAULT_CONFIG):
     """Recover a curve from explicit per-piece coordinate expressions.
 
     pieces is one (x_expr, y_expr) pair per ball piece.  The radius is
     extracted by projecting gamma' on u'; if gamma' is not parallel to u'
-    within tol (relative), the curve is rejected.
+    within 1e-8 (relative), the curve is rejected.
     """
     if len(pieces) != len(ball.pieces):
         raise ValueError(
@@ -291,7 +280,7 @@ def curve_from_explicit(ball, pieces, tol=1e-8, quad=DEFAULT_CONFIG):
         resid = np.linalg.norm(g - r[:, None] * du, axis=-1)
         speed = np.linalg.norm(g, axis=-1)
         scale = max(float(np.max(speed)), 1e-300)
-        if np.any(resid > tol * (speed + 1e-12 * scale)):
+        if np.any(resid > 1e-8 * (speed + 1e-12 * scale)):
             worst = float(ts[np.argmax(resid / (speed + 1e-12 * scale))])
             raise NotAdmissible(
                 f"gamma' is not parallel to u' near t={worst:.6g}")
@@ -316,10 +305,10 @@ class ConvexityResult:
     witness: float | None  # a parameter near a sign flip when not convex
 
 
-def is_convex(curve, config=None):
+def is_convex(curve):
     """Classify by the sign pattern of the curvature radius at the nodes
-    and panel ends of the curve's node table for config."""
-    ts, r = curve.table(config).radius_samples()
+    and panel ends of the curve's node table."""
+    ts, r = curve.table().radius_samples()
     scale = float(np.max(np.abs(r)))
     if scale == 0.0:
         return ConvexityResult(True, +1, None)  # point curve
@@ -332,10 +321,10 @@ def is_convex(curve, config=None):
     return ConvexityResult(True, +1 if has_pos or not has_neg else -1, None)
 
 
-def convexifying_shift(curve, config=None):
+def convexifying_shift(curve):
     """Smallest K >= 0 (at the table's nodes and panel ends) with
     min r + K >= 0."""
-    _, r = curve.table(config).radius_samples()
+    _, r = curve.table().radius_samples()
     return float(max(0.0, -np.min(r)))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import AdmissibleCurve, NodeValues
+from .curve import AdmissibleCurve
 from .errors import DecompositionResidual
 from .measures import dual_length, signed_area
 
@@ -28,29 +28,25 @@ def _antipodal(values):
     return np.roll(values, len(values) // 2, axis=0)
 
 
-def wigner_caustic(curve, config=None):
+def wigner_caustic(curve):
     """The midpoint curve, with radius (r(t) - r(t+T)) / 2."""
-    config = config or curve.quad
-    table = curve.table(config)
+    table = curve.table()
     r = 0.5 * (table.r - _antipodal(table.r))
     # gamma(t0) and gamma(t0 + T) start the first panels of the two halves
     base = 0.5 * (table.start[0] + _antipodal(table.start)[0])
-    return AdmissibleCurve(curve.ball, NodeValues(table.frame, r), base,
-                           quad=config, check_closure=False)
+    return curve._derived(table.frame, r, base)
 
 
-def cwms(curve, w=None, config=None):
+def cwms(curve, w=None):
     """The constant width measure set, radius (r(t) + r(t+T) - w) / 2."""
-    config = config or curve.quad
-    table = curve.table(config)
+    table = curve.table()
     if w is None:
-        w = dual_length(curve, config) / table.frame.area
+        w = dual_length(curve) / table.frame.area
     r = 0.5 * (table.r + _antipodal(table.r) - w)
     # the first panel starts at t0
     base = 0.5 * (table.start[0] - _antipodal(table.start)[0]
                   - w * table.frame.u_lo[0])
-    return AdmissibleCurve(curve.ball, NodeValues(table.frame, r), base,
-                           quad=config, check_closure=False)
+    return curve._derived(table.frame, r, base)
 
 
 @dataclass
@@ -73,33 +69,31 @@ class DecompositionResult:
         }
 
 
-def decompose(curve, check=True, config=None):
+def decompose(curve):
     """Split a curve into WC + CWMS + (w/2) u and verify the identity.
 
     The Wigner caustic is T-periodic, so its signed area over the full
     parameter period counts the loop twice; wc_area reports the
     once-around value (raw / 2), which is the convention entering the
     isoperimetric identity with coefficient 2.  Every term reads the
-    curve's node table for config (default: the curve's own).
+    curve's node table.
     """
-    config = config or curve.quad
-    table = curve.table(config)
-    w = dual_length(curve, config) / table.frame.area
-    wc_curve = wigner_caustic(curve, config)
-    cw_curve = cwms(curve, w, config)
+    table = curve.table()
+    w = dual_length(curve) / table.frame.area
+    wc_curve = wigner_caustic(curve)
+    cw_curve = cwms(curve, w)
 
     # the identity at every panel start and node of the table
     u = np.concatenate([table.frame.u_lo, table.frame.u.reshape(-1, 2)])
-    recon = (wc_curve.table(config).knots() + cw_curve.table(config).knots()
-             + 0.5 * w * u)
+    recon = wc_curve.table().knots() + cw_curve.table().knots() + 0.5 * w * u
     residual = float(np.max(np.linalg.norm(table.knots() - recon, axis=-1)))
     tol = 1e-9 * max(curve.diameter, curve.ball.diameter)
-    if check and residual > tol:
+    if residual > tol:
         raise DecompositionResidual(
             f"reconstruction residual {residual:.3e} exceeds {tol:.3e}; "
             "this indicates an internal bug")
 
-    raw = signed_area(wc_curve, config)
+    raw = signed_area(wc_curve)
     return DecompositionResult(
         wc=wc_curve,
         cwms=cw_curve,
@@ -107,5 +101,5 @@ def decompose(curve, check=True, config=None):
         residual=residual,
         wc_area_raw=raw,
         wc_area=0.5 * raw,
-        cwms_area=signed_area(cw_curve, config),
+        cwms_area=signed_area(cw_curve),
     )

@@ -13,7 +13,7 @@ isoperimetric inequality of the normed plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,11 +25,11 @@ from .errors import (DegenerateIntersection, EmbeddingFailed,
 from .measures import dual_length, shoelace_area, signed_area
 
 
-def minkowski_gap(curve, config=None):
+def minkowski_gap(curve):
     """L*(gamma)^2 - 4 A(gamma) A(U), non-negative for admissible curves."""
-    L = dual_length(curve, config)
-    A_U = curve.table(config).frame.area
-    return L * L - 4.0 * signed_area(curve, config) * A_U
+    L = dual_length(curve)
+    A_U = curve.table().frame.area
+    return L * L - 4.0 * signed_area(curve) * A_U
 
 
 @dataclass
@@ -47,36 +47,25 @@ class IsoLedger:
     scale: float
 
     def to_dict(self):
-        return {
-            "dual_length": self.dual_length,
-            "ball_area": self.ball_area,
-            "curve_area": self.curve_area,
-            "wc_area": self.wc_area,
-            "cwms_area": self.cwms_area,
-            "lhs": self.lhs,
-            "identity_residual": self.identity_residual,
-            "gap_sym": self.gap_sym,
-            "gap_cw": self.gap_cw,
-            "gap_busemann": self.gap_busemann,
-        }
+        d = asdict(self)
+        del d["scale"]
+        return d
 
 
-def iso_ledger(curve, config=None):
+def iso_ledger(curve):
     """All terms of the isoperimetric identity and its weakened gaps.
 
-    Every term, A(U) included, is read from the curve's node table for
-    config (default: the curve's own).
+    Every term, A(U) included, is read from the curve's node table.
     """
-    config = config or curve.quad
-    conv = is_convex(curve, config)
+    conv = is_convex(curve)
     if not (conv.convex and conv.sign >= 0):
         raise NotConvexInput(
             "the isoperimetric identity requires a positively oriented "
             f"convex curve (witness t={conv.witness})")
-    L = dual_length(curve, config)
-    A_U = curve.table(config).frame.area
-    A = signed_area(curve, config)
-    dec = decompose(curve, config=config)
+    L = dual_length(curve)
+    A_U = curve.table().frame.area
+    A = signed_area(curve)
+    dec = decompose(curve)
     lhs = L * L / (4.0 * A_U)
     return IsoLedger(
         dual_length=L,
@@ -187,7 +176,7 @@ def symmetrize_polygon(K1):
     return _tangent_polygon(_dedupe_normals(normals))
 
 
-def polygon_ball(P, quad=None):
+def polygon_ball(P):
     """A symmetric polygon as a unit ball, one unit parameter per edge."""
     verts = P.vertices
     m = len(verts)
@@ -195,8 +184,7 @@ def polygon_ball(P, quad=None):
         raise ValidationError("polygonal ball needs an even vertex count")
     pieces = [Piece.segment(verts[j], verts[(j + 1) % m], j, j + 1)
               for j in range(m)]
-    kwargs = {} if quad is None else {"quad": quad}
-    return build_ball(pieces, **kwargs)
+    return build_ball(pieces)
 
 
 @dataclass
@@ -257,7 +245,7 @@ def embed_polygon(K, ball_poly, ball=None):
     return AdmissibleCurve(ball, radii, start_vertex)
 
 
-def lhuilier_check(K, tol_equal=1e-8):
+def lhuilier_check(K):
     """The weak Lhuilier inequality: L*(K)^2 / (4 A(K1^0)) >= A(K)."""
     K1 = circumscribed_parallel_polygon(K)
     K1_0 = symmetrize_polygon(K1)
@@ -271,7 +259,7 @@ def lhuilier_check(K, tol_equal=1e-8):
     r = np.array([float(gamma.radii[i](np.full(1, 0.5 * (p.t0 + p.t1)))[0])
                   for i, p in enumerate(ball.pieces)])
     spread = float(np.max(r) - np.min(r))
-    equality = spread <= tol_equal * max(float(np.max(np.abs(r))), 1e-300)
+    equality = spread <= 1e-8 * max(float(np.max(np.abs(r))), 1e-300)
     return LhuilierReport(
         K=K, K1=K1, K1_0=K1_0,
         dual_length=L, area_K=A_K, area_K1_0=A_ball,

@@ -33,6 +33,7 @@ from .ball import Piece, build_ball, builtin_ball
 from .curve import curve_from_explicit, curve_from_radius
 from .errors import ValidationError
 from .inequalities import Polygon
+from .quadrature import DEFAULT_CONFIG
 
 
 def _load(doc_or_path):
@@ -67,11 +68,12 @@ def load_ball(doc_or_path):
     return ball_from_doc(_load(doc_or_path))
 
 
-def curve_from_doc(doc):
+def curve_from_doc(doc, quad=DEFAULT_CONFIG):
+    """The curve of a document, with quadrature rule quad."""
     ball = ball_from_doc(doc["ball"])
     if "explicit" in doc:
         pieces = [(pd["x"], pd["y"]) for pd in doc["explicit"]]
-        return curve_from_explicit(ball, pieces)
+        return curve_from_explicit(ball, pieces, quad=quad)
     entries = doc["radius"]
     radii = [None] * len(ball.pieces)
     for k, entry in enumerate(entries):
@@ -82,11 +84,11 @@ def curve_from_doc(doc):
     if any(r is None for r in radii):
         raise ValidationError("radius must cover every ball piece")
     basepoint = doc.get("basepoint", (0.0, 0.0))
-    return curve_from_radius(ball, radii, basepoint=basepoint)
+    return curve_from_radius(ball, radii, basepoint=basepoint, quad=quad)
 
 
-def load_curve(doc_or_path):
-    return curve_from_doc(_load(doc_or_path))
+def load_curve(doc_or_path, quad=DEFAULT_CONFIG):
+    return curve_from_doc(_load(doc_or_path), quad=quad)
 
 
 def polygon_from_doc(doc):
@@ -119,8 +121,5 @@ def clean(obj):
     return obj
 
 
-def dump_report(obj, fh=None, **kwargs):
-    text = json.dumps(clean(obj), indent=2, sort_keys=True, **kwargs)
-    if fh is not None:
-        fh.write(text + "\n")
-    return text
+def dump_report(obj):
+    return json.dumps(clean(obj), indent=2, sort_keys=True)

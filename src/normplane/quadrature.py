@@ -49,26 +49,26 @@ def panel(f, a, b, n):
     return 0.5 * (b - a) * np.tensordot(w, vals, axes=(0, 0))
 
 
-def _adapt(f, a, b, whole, config, depth, leaves):
+def _adapt(f, a, b, whole, quad, depth, leaves):
     m = 0.5 * (a + b)
-    left = panel(f, a, m, config.nodes_per_panel)
-    right = panel(f, m, b, config.nodes_per_panel)
+    left = panel(f, a, m, quad.nodes_per_panel)
+    right = panel(f, m, b, quad.nodes_per_panel)
     refined = left + right
     err = np.max(np.abs(whole - refined))
     scale = max(np.max(np.abs(refined)), np.max(np.abs(whole)))
-    if err <= max(config.rel_tol * scale, config.abs_tol):
+    if err <= max(quad.rel_tol * scale, quad.abs_tol):
         if leaves is not None:
             leaves += [(a, m), (m, b)]
         return refined
-    if depth >= config.max_depth:
+    if depth >= quad.max_depth:
         raise NoConvergence(
             f"quadrature did not converge on [{a}, {b}] "
             f"(error {err:.3e}, scale {scale:.3e})")
-    return (_adapt(f, a, m, left, config, depth + 1, leaves)
-            + _adapt(f, m, b, right, config, depth + 1, leaves))
+    return (_adapt(f, a, m, left, quad, depth + 1, leaves)
+            + _adapt(f, m, b, right, quad, depth + 1, leaves))
 
 
-def integrate(f, a, b, config=DEFAULT_CONFIG, leaves=None):
+def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     """Adaptive panel-halving integral of f over [a, b].
 
     When leaves is a list, the accepted panels are appended to it as
@@ -78,11 +78,11 @@ def integrate(f, a, b, config=DEFAULT_CONFIG, leaves=None):
     if a == b:
         probe = np.asarray(f(np.array([a])), dtype=float)
         return np.zeros(probe.shape[1:])[()] if probe.ndim > 1 else 0.0
-    whole = panel(f, a, b, config.nodes_per_panel)
-    return _adapt(f, a, b, whole, config, 0, leaves)
+    whole = panel(f, a, b, quad.nodes_per_panel)
+    return _adapt(f, a, b, whole, quad, 0, leaves)
 
 
-def integrate_piecewise(f, partition, config=DEFAULT_CONFIG):
+def integrate_piecewise(f, partition, quad=DEFAULT_CONFIG):
     """Integrate over consecutive intervals of a partition, summing results.
 
     The partition is the increasing sequence of breakpoints; the integrand
@@ -91,7 +91,7 @@ def integrate_piecewise(f, partition, config=DEFAULT_CONFIG):
     partition = np.asarray(partition, dtype=float)
     total = None
     for a, b in zip(partition[:-1], partition[1:]):
-        part = integrate(f, a, b, config)
+        part = integrate(f, a, b, quad)
         total = part if total is None else total + part
     return total
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from normplane import Piece, build_ball, builtin_ball, cross2
+from normplane import expressions as ex
 from normplane.errors import (DegeneratePiece, NotClosed, NotConvex,
                               NotSymmetric, UnknownBuiltin)
 
@@ -137,3 +138,34 @@ def test_vertex_evaluation_uses_right_piece(mixed):
     np.testing.assert_allclose(v, [-np.pi / 2 * np.sin(np.pi / 2),
                                    np.pi / 2 * np.cos(np.pi / 2)],
                                atol=1e-14)
+
+
+def _segment_fns(s):
+    """compile_fn of x and y of p0 + slope * (t - t0), with derivatives."""
+    fns = []
+    for k in range(2):
+        slope = (s.p1[k] - s.p0[k]) / (s.t1 - s.t0)
+        e = ex.BinOp("+", ex.Num(float(s.p0[k])),
+                     ex.BinOp("*", ex.Num(float(slope)),
+                              ex.BinOp("-", ex.Var(), ex.Num(s.t0))))
+        de = ex.differentiate(e)
+        fns.append([ex.compile_fn(f) for f in (e, de, ex.differentiate(de))])
+    return fns
+
+
+@pytest.mark.parametrize("p0, p1, t0, t1", [
+    ((1, 0), (0, 1), 0, 1),
+    ((0.3, -1.7), (-2.1, 0.4), 1.25, 2.0),
+    ((1e-3, 5.0), (1e-3, -5.0), -3.5, 0.1),
+])
+def test_segment_matches_its_compiled_expression(p0, p1, t0, t1):
+    seg = Piece.segment(p0, p1, t0, t1)
+    ts = np.linspace(t0 - 1.0, t1 + 3.0, 37)
+    for s in (seg, seg.negated_shifted(2.0), seg.negated_shifted(0.7),
+              seg.scaled(1.75), seg.scaled(0.3)):
+        assert s.kind == "segment"
+        fns = _segment_fns(s)
+        for j, method in enumerate((s.point, s.velocity, s.accel)):
+            for t in (ts + (s.t0 - t0), np.array(s.t1)):
+                want = np.stack([fns[0][j](t), fns[1][j](t)], axis=-1)
+                np.testing.assert_array_equal(method(t), want)

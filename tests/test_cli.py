@@ -79,6 +79,17 @@ class TestAnalyze:
         assert led["cwms_area"] == pytest.approx(-0.48, abs=0.02)
         assert abs(led["identity_residual"]) < 1e-8 * led["lhs"]
 
+    def test_rel_tol_sets_the_curves_rule(self, tmp_path):
+        p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
+        res = run_cli("analyze", "--curve", p, "--rel-tol", "1e-6")
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        led = report["ledger"]
+        assert abs(led["identity_residual"]) <= 1e-8 * led["lhs"]
+        # the measures read the same table as the ledger
+        assert report["measures"]["mean_width"] == pytest.approx(
+            led["dual_length"] / led["ball_area"], rel=1e-11)
+
     def test_out_directory(self, tmp_path):
         p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
         out = tmp_path / "reports"

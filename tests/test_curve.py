@@ -56,7 +56,7 @@ class TestFromRadius:
 class TestFromExplicit:
     def test_example22_radius_recovery(self, mixed, example22):
         curve = curve_from_explicit(mixed, EXAMPLE22_EXPLICIT)
-        ts = curve.sample_params(32, endpoints=False)
+        ts = curve.sample_params(32)
         np.testing.assert_allclose(curve.radius(ts), example22.radius(ts),
                                    atol=1e-9)
         np.testing.assert_allclose(curve.basepoint, [2, 1], atol=1e-12)
@@ -68,7 +68,7 @@ class TestFromExplicit:
                                ("t-3", "2-t"),
                                ("cos(pi/2*t)", "sin(pi/2*t)")]]
         curve = curve_from_explicit(mixed, pieces)
-        ts = curve.sample_params(16, endpoints=False)
+        ts = curve.sample_params(16)
         np.testing.assert_allclose(curve.radius(ts), 3.0, atol=1e-10)
 
     def test_rotated_square_not_admissible(self, square):
@@ -122,7 +122,7 @@ class TestAlgebra:
     def test_radius_roundtrip(self, mixed, example22):
         # evaluate the curve, re-derive the radius from explicit pieces
         curve = curve_from_explicit(mixed, EXAMPLE22_EXPLICIT)
-        ts = curve.sample_params(48, endpoints=False)
+        ts = curve.sample_params(48)
         np.testing.assert_allclose(curve.radius(ts), example22.radius(ts),
                                    atol=1e-9)
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import EXAMPLE22_RADII
 from normplane import (QuadratureConfig, builtin_ball, convexifying_shift,
-                       cross2, curve_from_radius, decompose, dual_length,
-                       is_convex, iso_ledger, measure_report, mixed_area,
-                       pointwise_sum, shifted_by_ball, signed_area,
-                       support_value)
+                       cross2, curve_from_radius, cwms, decompose,
+                       dual_length, is_convex, iso_ledger, measure_report,
+                       mixed_area, pointwise_sum, shifted_by_ball,
+                       signed_area, support_value, wigner_caustic)
 from normplane.corpus import random_convex_curve
 from normplane.errors import DomainError
 from normplane.quadrature import gauss_legendre, integrate
@@ -135,15 +136,23 @@ def test_mixed_area_symmetric_and_translation_invariant(name, seed, k, b,
     assert abs(mixed_area(c1, c2.translated(shift)) - a12) <= 1e-12 * scale
 
 
-# -- every ledger term reads the table of the config it is given ------------
+# -- every term reads the table of the curve's own rule ---------------------
 
-def test_ledger_terms_share_the_config(example22):
-    coarse = QuadratureConfig(nodes_per_panel=6, rel_tol=1e-5)
-    led = iso_ledger(example22, coarse)
-    dec = decompose(example22, config=coarse)
-    assert led.dual_length == dual_length(example22, coarse)
-    assert led.curve_area == signed_area(example22, coarse)
-    assert led.ball_area == example22.table(coarse).frame.area
+COARSE = QuadratureConfig(nodes_per_panel=6, rel_tol=1e-5)
+
+
+@pytest.fixture(scope="module")
+def coarse22(mixed):
+    return curve_from_radius(mixed, EXAMPLE22_RADII, basepoint=(2, 1),
+                             quad=COARSE)
+
+
+def test_ledger_terms_share_the_config(coarse22, example22):
+    led = iso_ledger(coarse22)
+    dec = decompose(coarse22)
+    assert led.dual_length == dual_length(coarse22)
+    assert led.curve_area == signed_area(coarse22)
+    assert led.ball_area == coarse22.table().frame.area
     assert (led.wc_area, led.cwms_area) == (dec.wc_area, dec.cwms_area)
     # the coarse rule moves every term, the correction areas included, and
     # the identity still closes to well below that rule's own error
@@ -158,18 +167,32 @@ def test_radius_outside_its_domain_names_piece_and_parameter(euclidean):
         curve_from_radius(euclidean, "sqrt(t - 0.5)")
 
 
-def test_measure_report_reads_the_table_of_its_config(example22):
-    coarse = QuadratureConfig(nodes_per_panel=6, rel_tol=1e-5)
-    rep = measure_report(example22, coarse)
-    table = example22.table(coarse)
-    assert rep.mean_width == dual_length(example22, coarse) / table.frame.area
-    assert rep.signed_area == signed_area(example22, coarse)
-    # the width profile samples the coarse table, not the curve's own
-    ts = example22.sample_params(48, endpoints=False)
-    want = (support_value(example22, ts, coarse)
-            + support_value(example22, ts + example22.ball.T, coarse))
+def test_measure_report_reads_the_table_of_its_config(coarse22):
+    rep = measure_report(coarse22)
+    table = coarse22.table()
+    assert rep.mean_width == dual_length(coarse22) / table.frame.area
+    assert rep.signed_area == signed_area(coarse22)
+    # the width profile samples the coarse table
+    ts = coarse22.sample_params(48)
+    want = (support_value(coarse22, ts)
+            + support_value(coarse22, ts + coarse22.ball.T))
     assert rep.width_profile_min == float(np.min(want))
     assert rep.width_profile_max == float(np.max(want))
+
+
+def test_curves_of_different_rules_do_not_mix(coarse22, example22):
+    assert coarse22.quad != example22.quad
+    with pytest.raises(ValueError, match="quadrature rule"):
+        mixed_area(coarse22, example22)
+    with pytest.raises(ValueError, match="quadrature rule"):
+        pointwise_sum(example22, coarse22)
+    # derived curves keep their parent's rule
+    for derived in (coarse22.translated((1.0, 0.0)),
+                    coarse22.radius_scaled(2.0),
+                    shifted_by_ball(coarse22, 0.5),
+                    wigner_caustic(coarse22), cwms(coarse22)):
+        assert derived.quad == COARSE
+        assert derived.table().frame is coarse22.table().frame
 
 
 def test_derived_curves_reuse_the_parents_frame(euclidean, monkeypatch):
