@@ -90,8 +90,11 @@ def analyze(curve_path, out_dir, rel_tol):
     """Measures plus the isoperimetric ledger for a curve."""
 
     def run():
-        quad = (QuadratureConfig(rel_tol=rel_tol) if rel_tol
-                else DEFAULT_CONFIG)
+        if rel_tol is not None and not rel_tol > 0:
+            raise ValidationError(
+                f"--rel-tol must be positive, got {rel_tol!r}")
+        quad = (DEFAULT_CONFIG if rel_tol is None
+                else QuadratureConfig(rel_tol=rel_tol))
         curve = jsonio.load_curve(curve_path, quad=quad)
         report = {"measures": measure_report(curve).to_dict()}
         conv = is_convex(curve)
@@ -114,12 +117,14 @@ def decompose(curve_path, out_dir, want_svg):
     def run():
         curve = jsonio.load_curve(curve_path)
         dec = decompose_curve(curve)
+        # the SVG draws 512 parameters; the report keeps the first 128
         ts = np.linspace(curve.ball.t_start,
                          curve.ball.t_start + 2 * curve.ball.T, 512,
-                         endpoint=False)
+                         endpoint=False)[:512 if want_svg else 128]
+        wc, cw = dec.wc.point(ts), dec.cwms.point(ts)
         report = dec.to_dict()
-        report["wc_samples"] = dec.wc.point(ts[:128])
-        report["cwms_samples"] = dec.cwms.point(ts[:128])
+        report["wc_samples"] = wc[:128]
+        report["cwms_samples"] = cw[:128]
         _emit(report, out_dir, "decomposition.json")
         if want_svg:
             layers = [
@@ -127,8 +132,8 @@ def decompose(curve_path, out_dir, want_svg):
                 svg.Layer("unit ball", curve.ball.point(ts), "gray"),
                 svg.Layer("dual samples", curve.ball.dual(ts + 1e-6),
                           "goldenrod", closed=False, width=0.8),
-                svg.Layer("WC", dec.wc.point(ts), "crimson"),
-                svg.Layer("CWMS", dec.cwms.point(ts), "royalblue"),
+                svg.Layer("WC", wc, "crimson"),
+                svg.Layer("CWMS", cw, "royalblue"),
             ]
             path = _out_path(out_dir, "decomposition.svg") or \
                 "decomposition.svg"

@@ -123,7 +123,8 @@ class Polygon:
 
 
 def _tangent_polygon(normals):
-    """Intersection of halfplanes <n_i, x> <= 1 over angle-sorted normals.
+    """Intersection of halfplanes <n_i, x> <= 1 over angle-sorted normals;
+    an error names edges by their index in normals.
 
     Every halfplane boundary is tangent to the unit circle, so consecutive
     boundary lines meet in exactly the polygon's vertices.
@@ -144,7 +145,9 @@ def _tangent_polygon(normals):
         n2 = normals[(i + 1) % m]
         det = cross2(n1, n2)
         if abs(det) < 1e-14:
-            raise DegenerateIntersection("parallel consecutive normals")
+            raise DegenerateIntersection(
+                f"parallel consecutive normals: edges {order[i]} and "
+                f"{order[(i + 1) % m]} (|det| {abs(det):.1e})")
         # solve n1.x = 1, n2.x = 1
         verts.append(((n2[1] - n1[1]) / det, (n1[0] - n2[0]) / det))
     return Polygon(np.array(verts))
@@ -217,7 +220,10 @@ def embed_polygon(K, ball_poly, ball=None):
 
     Each edge of K is matched to the ball edge with the same outward
     normal; the radius on that piece is the length ratio, and ball edges
-    with no parallel K edge get radius zero.
+    with no parallel K edge get radius zero.  Normals are matched by the
+    angle between them, which the cross product resolves where the dot
+    product rounds to 1; K edges that meet the same ball edge (normals
+    closer than the ball's resolution) are merged and their lengths summed.
     """
     if ball is None:
         ball = polygon_ball(ball_poly)
@@ -225,24 +231,25 @@ def embed_polygon(K, ball_poly, ball=None):
     ball_edges = ball_poly.edges
     k_normals = K.normals
     k_edges = K.edges
-    k_verts = K.vertices
 
+    dots = k_normals @ ball_normals.T
+    # [m, n] for every ball normal m and K normal n
+    sines = (k_normals[:, ::-1] * (1.0, -1.0)) @ ball_normals.T
+    match = np.argmin(np.abs(np.arctan2(sines, dots)), axis=1).tolist()
     radii = [0.0] * len(ball_edges)
-    start_piece = None
-    start_vertex = None
-    for i, n in enumerate(k_normals):
-        dots = ball_normals @ n
-        j = int(np.argmax(dots))
-        if dots[j] < 1.0 - 1e-9:
+    for i, j in enumerate(match):
+        if dots[i, j] < 1.0 - 1e-9:
             raise EmbeddingFailed(
                 f"edge {i} of K has no parallel ball edge; the construction "
                 "guarantees one, so this indicates a bug")
-        radii[j] = float(np.linalg.norm(k_edges[i])
-                         / np.linalg.norm(ball_edges[j]))
-        if start_piece is None or j < start_piece:
-            start_piece = j
-            start_vertex = k_verts[i]
-    return AdmissibleCurve(ball, radii, start_vertex)
+        radii[j] += float(np.linalg.norm(k_edges[i])
+                          / np.linalg.norm(ball_edges[j]))
+    # the curve starts where the first K edge on the first matched piece
+    # does; a run of merged edges may wrap past the end of the list
+    first = min(match)
+    start = next(i for i, j in enumerate(match)
+                 if j == first and match[i - 1] != first)
+    return AdmissibleCurve(ball, radii, K.vertices[start])
 
 
 def lhuilier_check(K):

@@ -99,18 +99,28 @@ def load_polygon(doc_or_path):
     return polygon_from_doc(_load(doc_or_path))
 
 
+_FMT12 = "{:.12g}".format
+
+
 def _round12(x):
     # 12 significant digits for stable, diffable reports
-    return float(f"{x:.12g}")
+    return float(_FMT12(x))
 
 
 def clean(obj):
-    """Round floats recursively so serialized reports are deterministic."""
+    """Round floats recursively so serialized reports are deterministic.
+
+    A float array is rounded in one pass over its flattened values and
+    nested once, by the array's own tolist."""
     if isinstance(obj, float):
         return _round12(obj)
     if isinstance(obj, (np.floating,)):
         return _round12(float(obj))
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            flat = map(float, map(_FMT12, obj.ravel().tolist()))
+            return np.fromiter(flat, float, obj.size).reshape(
+                obj.shape).tolist()
         return clean(obj.tolist())
     if isinstance(obj, dict):
         return {k: clean(v) for k, v in obj.items()}

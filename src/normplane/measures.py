@@ -50,12 +50,23 @@ def support_value(curve, t):
     return cross2(curve.point(t), curve.ball.dual(t))
 
 
+def _antipodal_points(curve):
+    """(ts, gamma(ts), gamma(ts + T)) at 48 Gauss nodes per piece."""
+    ts = curve.sample_params(48)
+    return ts, curve.point(ts), curve.point(ts + curve.ball.T)
+
+
+def _widths(curve, ts, g, gT):
+    """[gamma,v](t) + [gamma,v](t+T) from the points at ts and ts + T."""
+    return (cross2(g, curve.ball.dual(ts))
+            + cross2(gT, curve.ball.dual(ts + curve.ball.T)))
+
+
 def width_profile(curve):
     """(params, widths) with width(t) = [gamma,v](t) + [gamma,v](t+T), at
     48 Gauss nodes per piece."""
-    ts = curve.sample_params(48)
-    w = support_value(curve, ts) + support_value(curve, ts + curve.ball.T)
-    return ts, w
+    ts, g, gT = _antipodal_points(curve)
+    return ts, _widths(curve, ts, g, gT)
 
 
 @dataclass(frozen=True)
@@ -85,9 +96,11 @@ def is_symmetric(curve):
     The curve is first re-centered by the mean of its midpoint curve
     (gamma(t) + gamma(t+T)) / 2, so symmetry about any center counts.
     """
-    ts = curve.sample_params(48)
-    g = curve.point(ts)
-    gT = curve.point(ts + curve.ball.T)
+    _, g, gT = _antipodal_points(curve)
+    return _symmetric(curve, g, gT)
+
+
+def _symmetric(curve, g, gT):
     mid = 0.5 * (g + gT)
     center = mid.mean(axis=0)
     dev = float(np.max(np.linalg.norm(g + gT - 2 * center, axis=-1)))
@@ -127,15 +140,17 @@ class MeasureReport:
 
 def measure_report(curve):
     """Compute all scalar measures of a curve in one go, every one read
-    from its node table."""
+    from its node table; the width profile and the symmetry test share
+    one reading of gamma at ts and at ts + T."""
     L = dual_length(curve)
-    ts, profile = width_profile(curve)
+    ts, g, gT = _antipodal_points(curve)
+    profile = _widths(curve, ts, g, gT)
     cw = _width_check(curve, ts, profile)
     return MeasureReport(
         dual_length=L,
         signed_area=signed_area(curve),
         mean_width=L / curve.table().frame.area,
-        is_symmetric=is_symmetric(curve),
+        is_symmetric=_symmetric(curve, g, gT),
         is_constant_width=cw.constant,
         width_constant=cw.value,
         width_profile_min=float(np.min(profile)),

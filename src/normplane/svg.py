@@ -11,6 +11,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 _FMT = "{:.9g}"
+_PAIR = "{:.9g},{:.9g}".format
 
 
 def _f(x):
@@ -36,12 +37,7 @@ def render(layers, size=640, margin=40, title=None):
     span = max(float(np.max(hi - lo)), 1e-9)
     scale = (size - 2 * margin) / span
     cx, cy = 0.5 * (lo + hi)
-
-    def to_px(p):
-        # y axis flipped: SVG grows downward
-        x = margin + (size - 2 * margin) / 2 + (p[0] - cx) * scale
-        y = margin + (size - 2 * margin) / 2 - (p[1] - cy) * scale
-        return x, y
+    mid = margin + (size - 2 * margin) / 2
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -53,16 +49,17 @@ def render(layers, size=640, margin=40, title=None):
         out.append(f'<text x="{size // 2}" y="20" text-anchor="middle" '
                    f'font-size="14">{escape(title)}</text>')
     for ly in layers:
-        pts_px = [to_px(p) for p in ly.points]
-        if ly.marker or len(pts_px) == 1 or (
-                len(ly.points) > 1
+        # one expression per axis; y flipped, as SVG grows downward
+        xs = (mid + (ly.points[:, 0] - cx) * scale).tolist()
+        ys = (mid - (ly.points[:, 1] - cy) * scale).tolist()
+        if ly.marker or len(xs) == 1 or (
+                len(xs) > 1
                 and float(np.max(np.ptp(ly.points, axis=0))) < 1e-9 * span):
-            x, y = pts_px[0]
-            out.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" '
+            out.append(f'<circle cx="{_f(xs[0])}" cy="{_f(ys[0])}" r="4" '
                        f'fill="{ly.color}"><title>{escape(ly.label)}'
                        '</title></circle>')
         else:
-            coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in pts_px)
+            coords = " ".join(map(_PAIR, xs, ys))
             tag = "polygon" if ly.closed else "polyline"
             out.append(f'<{tag} points="{coords}" fill="none" '
                        f'stroke="{ly.color}" stroke-width="{ly.width}">'

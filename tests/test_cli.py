@@ -8,6 +8,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from normplane import decompose, jsonio
+
 from conftest import EXAMPLE22_RADII
 
 EXAMPLE22_DOC = {
@@ -90,6 +92,16 @@ class TestAnalyze:
         assert report["measures"]["mean_width"] == pytest.approx(
             led["dual_length"] / led["ball_area"], rel=1e-11)
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_rel_tol_is_invalid_input(self, tmp_path, value):
+        p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
+        res = run_cli("analyze", "--curve", p, "--rel-tol", value)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        diag = json.loads(res.stderr.splitlines()[-1])
+        assert diag["error"] == "ValidationError"
+        assert "--rel-tol" in diag["detail"]
+
     def test_out_directory(self, tmp_path):
         p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
         out = tmp_path / "reports"
@@ -115,6 +127,25 @@ class TestDecompose:
         assert "polyline" in body or "polygon" in body or "path" in body
         for label in ("WC", "CWMS", "unit ball"):
             assert label in body
+
+
+    @pytest.mark.parametrize("want_svg", [True, False])
+    def test_samples_are_the_first_128_parameters(self, tmp_path, want_svg):
+        p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
+        out = tmp_path / "dec"
+        res = run_cli("decompose", "--curve", p, "--out", str(out),
+                      *(["--svg"] if want_svg else []))
+        assert res.returncode == 0
+        report = json.loads((out / "decomposition.json").read_text())
+        assert (out / "decomposition.svg").exists() == want_svg
+        curve = jsonio.load_curve(EXAMPLE22_DOC)
+        dec = decompose(curve)
+        ball = curve.ball
+        ts = np.linspace(ball.t_start, ball.t_start + 2 * ball.T, 512,
+                         endpoint=False)
+        assert report["wc_samples"] == jsonio.clean(dec.wc.point(ts[:128]))
+        assert report["cwms_samples"] == jsonio.clean(
+            dec.cwms.point(ts[:128]))
 
 
 class TestLhuilier:

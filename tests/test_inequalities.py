@@ -7,7 +7,8 @@ from normplane import (Polygon, circumscribed_parallel_polygon,
                        symmetrize_polygon)
 from normplane.corpus import (random_convex_curve, random_convex_polygon,
                               random_symmetric_convex_polygon)
-from normplane.errors import NotConvexInput, ValidationError
+from normplane.errors import (DegenerateIntersection, NotConvexInput,
+                              ValidationError)
 from normplane.measures import dual_length
 
 from conftest import rect_curve
@@ -183,3 +184,44 @@ class TestLhuilier:
         # the square is its own K1^0 up to scale: equality case
         assert rep.equality
         assert abs(rep.gap) < 1e-8 * rep.scale
+
+
+def _near_parallel(eps, roll=0):
+    """A pentagon whose edges 1 and 2 have normals eps apart."""
+    verts = [[0, 0], [1, 0], [1, 0.5], [1 - 0.5 * np.tan(eps), 1], [0, 1]]
+    return Polygon(np.roll(verts, roll, axis=0))
+
+
+def _distance_to_polygon(p, verts):
+    a, b = verts, np.roll(verts, -1, axis=0)
+    d = b - a
+    dd = np.maximum(np.sum(d * d, axis=-1), 1e-300)
+    s = np.clip(np.sum((p - a) * d, axis=-1) / dd, 0.0, 1.0)
+    return float(np.min(np.linalg.norm(a + s[:, None] * d - p, axis=-1)))
+
+
+class TestNearParallelEdges:
+    @pytest.mark.parametrize("eps", [1e-4, 1e-7, 1e-9, 1e-10, 1e-11,
+                                     1e-12, 1e-13, 1e-15])
+    def test_report_or_named_degeneracy(self, eps):
+        try:
+            rep = lhuilier_check(_near_parallel(eps))
+        except DegenerateIntersection as exc:
+            assert "edges 1 and 2" in str(exc)
+        else:
+            assert rep.gap >= -1e-9 * rep.scale
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-13])
+    @pytest.mark.parametrize("roll", [0, -2])
+    def test_embedding_traces_the_polygon(self, eps, roll):
+        # roll -2 puts the near-parallel pair at edges 4 and 0, across
+        # the start of the vertex list
+        K = _near_parallel(eps, roll)
+        K1_0 = symmetrize_polygon(circumscribed_parallel_polygon(K))
+        ball = polygon_ball(K1_0)
+        gamma = embed_polygon(K, K1_0, ball=ball)
+        corners = gamma.point(np.array([p.t0 for p in ball.pieces]))
+        for v in K.vertices:
+            assert _distance_to_polygon(v, corners) < 1e-9
+        for c in corners:
+            assert _distance_to_polygon(c, K.vertices) < 1e-9

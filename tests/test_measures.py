@@ -6,9 +6,11 @@ from normplane import (builtin_ball, curve_from_radius, dual_length,
                        measure_report, mixed_area, polygonal_area,
                        shoelace_area, signed_area, support_value,
                        wigner_caustic, cwms)
+from normplane.curve import AdmissibleCurve
 from normplane.corpus import (random_constant_width_convex_curve,
                               random_convex_curve)
 from normplane.errors import MismatchedBalls
+from normplane.measures import MeasureReport, width_profile
 
 
 def ball_curve(ball, c=1.0):
@@ -190,3 +192,40 @@ def test_measure_report(example22):
 def test_shoelace_triangle():
     assert shoelace_area([(0, 0), (1, 0), (0, 1)]) == pytest.approx(0.5)
     assert shoelace_area([(0, 0), (0, 1), (1, 0)]) == pytest.approx(-0.5)
+
+
+def _parent_report(curve):
+    """measure_report composed from the public functions, each reading
+    gamma on its own."""
+    ts, profile = width_profile(curve)
+    L = dual_length(curve)
+    cw = is_constant_width(curve)
+    return MeasureReport(
+        dual_length=L,
+        signed_area=signed_area(curve),
+        mean_width=mean_width(curve),
+        is_symmetric=is_symmetric(curve),
+        is_constant_width=cw.constant,
+        width_constant=cw.value,
+        width_profile_min=float(np.min(profile)),
+        width_profile_max=float(np.max(profile)),
+    )
+
+
+@pytest.mark.parametrize("which", ["example22", "circle_cos2"])
+def test_measure_report_reads_gamma_twice(which, example22, euclidean,
+                                          monkeypatch):
+    curve = example22 if which == "example22" else curve_from_radius(
+        euclidean, "1.3+0.4*cos(pi*t)", basepoint=(0.3, -0.2))
+    want = _parent_report(curve)
+    calls = []
+    point = AdmissibleCurve.point
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return point(self, t)
+
+    monkeypatch.setattr(AdmissibleCurve, "point", counted)
+    got = measure_report(curve)
+    assert calls == [len(curve.sample_params(48))] * 2
+    assert repr(got) == repr(want)
