@@ -1,0 +1,175 @@
+"""Trigonometric modes on one frame of a ball, and the Gram forms that
+make a curve's ledger a function of its mode coefficients.
+
+The modes are 1, cos(k pi (t - t0) / T), sin(k pi (t - t0) / T),
+k = 1..kmax.  A curve with mode coefficients c has radius B c at the
+frame's nodes, so its dual length is linear in c and its mixed areas are
+bilinear: every term of its isoperimetric ledger is a small form in c.
+"""
+
+from __future__ import annotations
+
+import weakref
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
+
+from .curve import AdmissibleCurve, NodeTable, NodeValues
+from .quadrature import DEFAULT_CONFIG
+
+
+def _grid(ball, per_piece=200):
+    return np.concatenate([np.linspace(p.t0, p.t1, per_piece)
+                           for p in ball.pieces])
+
+
+class Gram(NamedTuple):
+    """A Modes' ledger forms: G[j, k] is the symmetrised mixed area
+    A(gamma_j, gamma_k) of modes j and k, each mode's node-table curve from
+    the origin; samples[:, k] is mode k's radius at the nodes and both ends
+    of each panel, as NodeTable.radius_samples reads them; knots[k] is mode
+    k's curve at every panel start and node, as NodeTable.knots lists
+    them."""
+
+    G: np.ndarray
+    samples: np.ndarray
+    knots: np.ndarray
+
+
+class Modes:
+    """The modes 1, cos(k pi (t - t0) / T), sin(...), k = 1..kmax, on one
+    Frame of a ball chosen for all of them: their values at the nodes and
+    on the lift grid, closure gaps and dual lengths.  Holds no reference
+    to the ball, which keys the cache weakly.
+
+    Every term of a curve's ledger is linear or quadratic in its mode
+    coefficients c, so the methods below take a batch C of shape
+    (curves, 2 kmax + 1) and read the Gram forms, never a node table.
+    """
+
+    def __init__(self, ball, kmax):
+        self.t_start = ball.t_start
+        self.freq = np.arange(1, kmax + 1) * np.pi / ball.T
+        frame = self.frame = ball.frame(DEFAULT_CONFIG,
+                                        [self.values] * len(ball.pieces))
+        self.nodes = self.values(frame.t)
+        self.gaps = np.einsum("pk,pkm,pkd->md", frame.weights, self.nodes,
+                              frame.du)
+        # the k = 1 coefficients that cancel a closure gap
+        self.closer = -np.linalg.inv(self.gaps[1:3].T)
+        self.duals = frame.integral(self.nodes * frame.cross[..., None])
+        self.grid = self.values(_grid(ball))
+        # under t -> t + T mode k picks up (-1)^k
+        self.odd = (np.arange(2 * kmax + 1) + 1) // 2 % 2 == 1
+
+    def values(self, t):
+        """The modes at parameters t, shape t.shape + (2 kmax + 1,)."""
+        phase = np.multiply.outer(np.asarray(t, dtype=float)
+                                  - self.t_start, self.freq)
+        out = np.empty(phase.shape[:-1] + (2 * len(self.freq) + 1,))
+        out[..., 0] = 1.0
+        out[..., 1::2] = np.cos(phase)
+        out[..., 2::2] = np.sin(phase)
+        return out
+
+    def curve(self, ball, c, basepoint):
+        """The closed curve on ball with mode coefficients c."""
+        return AdmissibleCurve(ball, NodeValues(self.frame, self.nodes @ c),
+                               basepoint)
+
+    @cached_property
+    def gram(self):
+        """The Gram forms, built on first use from each mode's node table
+        from the origin with the same sums as mixed_area."""
+        frame, m = self.frame, self.nodes.shape[-1]
+        P = len(frame.lo)
+        knots = np.empty((m, P + frame.t.size, 2))
+        samples = np.empty((P * (frame.n + 2), m))
+        for k in range(m):
+            table = NodeTable(frame, self.nodes[..., k], np.zeros(2))
+            knots[k] = table.knots()
+            samples[:, k] = table.radius_samples()[1]
+        # Q[j, k] = 1/2 sum of w [gamma_j, r_k u'] over the nodes, gamma_j
+        # the knots after the panel starts
+        gamma = knots[:, P:].reshape((m,) + frame.du.shape)
+        wdu = frame.weights[..., None] * frame.du
+        Q = 0.5 * (np.einsum("jpn,pn,pnk->jk", gamma[..., 0], wdu[..., 1],
+                             self.nodes)
+                   - np.einsum("jpn,pn,pnk->jk", gamma[..., 1], wdu[..., 0],
+                               self.nodes))
+        return Gram(G=0.5 * (Q + Q.T), samples=samples, knots=knots)
+
+    def areas(self, C1, C2=None):
+        """The mixed area A(c1, c2) of each pair of rows, A(c1) alone."""
+        return np.sum((C1 @ self.gram.G) * (C1 if C2 is None else C2),
+                      axis=-1)
+
+    def diameters(self, C):
+        """AdmissibleCurve.diameter of each row: the bounding-box
+        diagonal of its knots."""
+        knots = self.gram.knots
+        pts = (C @ knots.reshape(len(knots), -1)).reshape(len(C), -1, 2)
+        return np.linalg.norm(pts.max(axis=1) - pts.min(axis=1), axis=-1)
+
+    def closed(self, ball, C):
+        """Whether each row passes AdmissibleCurve's closure check: its gap
+        within 1e-8 of the larger of its and the ball's diameter."""
+        gap = np.hypot(*(C @ self.gaps).T)
+        ok = gap <= 1e-8 * ball.diameter
+        if not ok.all():
+            ok |= gap <= 1e-8 * self.diameters(C)
+        return ok
+
+    def convexity(self, C):
+        """is_convex's sign of each row: +1 or -1 when convex, 0 when r
+        takes both signs beyond 1e-10 of its largest magnitude, read at
+        the same nodes and panel ends."""
+        r = C @ self.gram.samples.T
+        eps = 1e-10 * np.max(np.abs(r), axis=1, keepdims=True)
+        pos = np.any(r > eps, axis=1)
+        neg = np.any(r < -eps, axis=1)
+        return np.where(pos & neg, 0, np.where(pos | ~neg, 1, -1))
+
+    def ledger(self, C):
+        """The fields of iso_ledger, and minkowski_gap, for each row.
+
+        The WC radius (r(t) - r(t + T)) / 2 is the odd-k part of c; the
+        CWMS radius (r(t) + r(t + T) - w) / 2 the even part less w / 2 on
+        the constant mode.  Convexity is not checked here (convexity()).
+        """
+        A_U = self.frame.area
+        L = C @ self.duals
+        A = self.areas(C)
+        odd = C * self.odd
+        even = C - odd
+        even[:, 0] -= 0.5 * L / A_U
+        wc_area = 0.5 * self.areas(odd)
+        cwms_area = self.areas(even)
+        lhs = L * L / (4.0 * A_U)
+        return {
+            "dual_length": L,
+            "ball_area": np.full(len(C), A_U),
+            "curve_area": A,
+            "wc_area": wc_area,
+            "cwms_area": cwms_area,
+            "lhs": lhs,
+            "identity_residual": lhs - (A - 2.0 * wc_area - cwms_area),
+            "gap_sym": lhs - (A - cwms_area),
+            "gap_cw": lhs - (A - 2.0 * wc_area),
+            "gap_busemann": lhs - A,
+            "scale": np.maximum(np.maximum(np.abs(lhs), np.abs(A)), 1e-300),
+            "minkowski_gap": L * L - 4.0 * A * A_U,
+        }
+
+
+_MODES = weakref.WeakKeyDictionary()   # ball -> {kmax: Modes}
+
+
+def modes_of(ball, kmax):
+    """The Modes of ball up to kmax, built on first use and cached while
+    the ball lives."""
+    cached = _MODES.setdefault(ball, {})
+    if kmax not in cached:
+        cached[kmax] = Modes(ball, kmax)
+    return cached[kmax]

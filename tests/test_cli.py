@@ -187,6 +187,21 @@ class TestCorpus:
         res = run_cli("corpus", "--n", "0")
         assert res.returncode == 0
 
+    def test_report_has_distributions(self, tmp_path):
+        out = tmp_path / "c"
+        res = run_cli("corpus", "--seed", "7", "--n", "8", "--out", str(out))
+        assert res.returncode == 0
+        report = json.loads((out / "corpus.json").read_text())
+        dist = report["distributions"]
+        assert set(dist) == {"euclidean", "square", "regular_2k_gon",
+                             "mixed_example21"}
+        assert dist["euclidean"]["identity"]["max"] <= 1e-8
+        assert dist["euclidean"]["orthogonality"]["worst"] == 0
+        # the oracle rebuilds instance seed % n = 7, on the fourth ball
+        assert dist["mixed_example21"]["oracle"]["worst"] == 7
+        assert dist["mixed_example21"]["oracle"]["max"] <= 1e-12
+        assert sum("oracle" in d for d in dist.values()) == 1
+
     def test_injected_bug_is_caught(self):
         res = run_cli("corpus", "--seed", "1", "--n", "4",
                       "--inject-bug", "cwms-sign")

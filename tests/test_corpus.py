@@ -1,17 +1,21 @@
 """The corpus generators against a reference built from explicit
-trigonometric-series callables, and a pinned seed."""
+trigonometric-series callables, and a pinned seed; run_corpus's Gram forms
+against the node tables."""
 
 import numpy as np
 import pytest
 
-from normplane import (AdmissibleCurve, builtin_ball, curve_from_radius,
-                       decompose, dual_length, signed_area)
+from normplane import (AdmissibleCurve, builtin_ball, corpus,
+                       curve_from_radius, decompose, dual_length, is_convex,
+                       iso_ledger, minkowski_gap, mixed_area, signed_area)
 from normplane.corpus import (CORPUS_BALL_NAMES, corpus_balls,
                               random_constant_width_convex_curve,
                               random_constant_width_zero_dual,
                               random_convex_curve,
                               random_symmetric_convex_curve,
-                              random_symmetric_zero_dual)
+                              random_symmetric_zero_dual, run_corpus)
+from normplane.errors import NotClosed
+from normplane.modes import modes_of
 
 BALLS = {name: {} for name in CORPUS_BALL_NAMES}
 BALLS["regular_2k_gon(5)"] = {"k": 5}
@@ -149,3 +153,177 @@ def test_more_modes_than_the_cached_basis():
     ball = corpus_balls()[0]
     curve = random_convex_curve(ball, np.random.default_rng(3), n_modes=6)
     assert curve.closure_residual <= 1e-12 * curve.diameter
+
+
+# -- the Gram forms of run_corpus against the node tables ---------------------
+
+def _ball(name):
+    return builtin_ball(name.split("(")[0], **BALLS[name])
+
+
+CONVEX_COEFFICIENTS = (corpus.convex_coefficients,
+                       corpus.symmetric_convex_coefficients,
+                       corpus.constant_width_convex_coefficients)
+
+
+@pytest.mark.parametrize("ball_name", list(BALLS))
+def test_gram_ledger_matches_iso_ledger(ball_name):
+    ball = _ball(ball_name)
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        drawn = [make(ball, rng) for make in CONVEX_COEFFICIENTS
+                 for _ in range(3)]
+        modes = drawn[0][0]
+        led = modes.ledger(np.array([c for _, c, _ in drawn]))
+        for row, (_, c, basepoint) in enumerate(drawn):
+            curve = modes.curve(ball, c, basepoint)
+            want = iso_ledger(curve)
+            s = want.scale
+            for name, value in want.to_dict().items():
+                assert abs(led[name][row] - value) <= 1e-12 * s, name
+            assert abs(led["scale"][row] - s) <= 1e-12 * s
+            assert abs(led["minkowski_gap"][row] - minkowski_gap(curve)) \
+                <= 1e-12 * want.dual_length ** 2
+
+
+@pytest.mark.parametrize("ball_name", list(BALLS))
+def test_gram_orthogonality_matches_mixed_area(ball_name):
+    ball = _ball(ball_name)
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            modes, cs, bs = corpus.symmetric_zero_dual_coefficients(ball, rng)
+            _, cw, bw = corpus.constant_width_zero_dual_coefficients(ball, rng)
+            sym, cwc = modes.curve(ball, cs, bs), modes.curve(ball, cw, bw)
+            scale = max(abs(signed_area(sym)), abs(signed_area(cwc)),
+                        sym.diameter * cwc.diameter, 1e-12)
+            Cs, Cw = cs[None], cw[None]
+            assert abs(modes.areas(Cs, Cw)[0] - mixed_area(sym, cwc)) \
+                <= 1e-12 * scale
+            assert abs(modes.areas(Cs)[0] - signed_area(sym)) <= 1e-12 * scale
+            assert modes.diameters(np.array([cs, cw])) == pytest.approx(
+                [sym.diameter, cwc.diameter], rel=1e-12)
+
+
+def _one_negative_sample(modes, c):
+    """c with its constant mode lowered so that zero lies halfway between
+    its two smallest radius samples, and how many samples turn negative."""
+    r = modes.gram.samples @ c
+    lo, nxt = np.sort(r)[:2]
+    c = c.copy()
+    c[0] -= 0.5 * (lo + nxt)
+    return c, int(np.sum(modes.gram.samples @ c < 0.0))
+
+
+@pytest.mark.parametrize("ball_name", list(BALLS))
+def test_batched_convexity_matches_is_convex(ball_name):
+    ball = _ball(ball_name)
+    rng = np.random.default_rng(7)
+    rows, single = [], 0
+    for _ in range(4):
+        modes, c, _ = corpus.convex_coefficients(ball, rng)
+        dipped, negative = _one_negative_sample(modes, c)
+        single += negative == 1
+        rows += [c, -c, dipped, np.zeros_like(c),
+                 corpus.symmetric_zero_dual_coefficients(ball, rng)[1]]
+    assert single, "no radius turned negative at a single sample"
+    signs = modes.convexity(np.array(rows))
+    for c, sign in zip(rows, signs):
+        want = is_convex(modes.curve(ball, c, (0.0, 0.0)))
+        assert sign == want.sign
+        assert (sign != 0) == want.convex
+    assert set(signs.tolist()) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("ball_name", list(BALLS))
+def test_batched_closure_matches_not_closed(ball_name):
+    ball = _ball(ball_name)
+    modes, c, _ = corpus.convex_coefficients(ball, np.random.default_rng(8))
+    # open the curve along the k = 1 cosine mode, to either side of the
+    # tolerance 1e-8 max(diameter, ball diameter)
+    unit = np.linalg.norm(modes.gaps[1])
+    tol = 1e-8 * max(modes.diameters(c[None])[0], ball.diameter)
+    rows = []
+    for factor in (0.0, 0.5, 2.0, 1e4):
+        opened = c.copy()
+        opened[1] += factor * tol / unit
+        rows.append(opened)
+    verdicts = modes.closed(ball, np.array(rows))
+    assert verdicts.tolist() == [True, True, False, False]
+    for opened, closed in zip(rows, verdicts):
+        if closed:
+            modes.curve(ball, opened, (0.3, -0.2))
+        else:
+            with pytest.raises(NotClosed):
+                modes.curve(ball, opened, (0.3, -0.2))
+
+
+def test_the_injected_bug_still_breaks_the_identity():
+    report = run_corpus(1, 8, inject_bug="cwms-sign")
+    assert any(v["check"] == "identity" for v in report["violations"])
+    assert not any(v["check"] == "oracle" for v in report["violations"])
+
+
+def test_the_oracle_sees_a_wrong_gram_matrix(monkeypatch):
+    assert run_corpus(3, 8)["violations"] == []
+    for ball in corpus_balls():
+        modes = modes_of(ball, 4)
+        G = modes.gram.G.copy()
+        G[0, 0] += 1e-6
+        monkeypatch.setattr(modes, "gram", modes.gram._replace(G=G))
+    report = run_corpus(3, 8)
+    oracle = [v for v in report["violations"] if v["check"] == "oracle"]
+    assert oracle and all(v["instance"] == 3 for v in oracle)
+    assert "curve_area" in {v["quantity"] for v in oracle}
+
+
+def test_distributions_name_the_worst_instances():
+    seed, n = 5, 24
+    report = run_corpus(seed, n)
+    assert report["violations"] == []
+    balls = corpus_balls()
+    rng = np.random.default_rng(seed)
+    curves = [random_convex_curve(balls[i % 4], rng) for i in range(n)]
+    leds = [iso_ledger(curve) for curve in curves]
+    mg = [minkowski_gap(curve) / max(led.dual_length ** 2,
+                                     4.0 * abs(led.curve_area)
+                                     * led.ball_area)
+          for curve, led in zip(curves, leds)]
+    pairs = [(random_symmetric_zero_dual(balls[j % 4], rng),
+              random_constant_width_zero_dual(balls[j % 4], rng))
+             for j in range(n // 4)]
+    orth = [abs(mixed_area(s, c)) / max(abs(signed_area(s)),
+                                        abs(signed_area(c)),
+                                        s.diameter * c.diameter)
+            for s, c in pairs]
+    measures = {
+        "identity": ([abs(led.identity_residual) / led.lhs for led in leds],
+                     "max"),
+        "minkowski_gap": (mg, "min"),
+        "orthogonality": (orth, "max"),
+        **{gap: ([getattr(led, gap) / led.scale for led in leds], "min")
+           for gap in ("gap_sym", "gap_cw", "gap_busemann")},
+    }
+    for b, name in enumerate(CORPUS_BALL_NAMES):
+        dist = report["distributions"][name]
+        assert set(dist) >= set(measures)
+        for check, (values, kind) in measures.items():
+            own = values[b::4]
+            best = max(own) if kind == "max" else min(own)
+            worst = dist[check]["worst"]
+            # the worst instance is a worst one to within the oracle's
+            # tolerance, and its value is the node table's
+            assert worst % 4 == b
+            assert abs(values[worst] - best) <= 1e-12, check
+            assert abs(dist[check][kind] - values[worst]) <= 1e-12, check
+        assert dist["identity"]["p99"] <= dist["identity"]["max"]
+    assert report["distributions"][CORPUS_BALL_NAMES[seed % n % 4]][
+        "oracle"]["worst"] == seed % n
+
+
+def test_p99_is_numpys_linear_percentile():
+    rng = np.random.default_rng(9)
+    for size in range(1, 40):
+        x = rng.normal(size=size)
+        assert corpus._p99(x) == pytest.approx(np.percentile(x, 99),
+                                               rel=1e-14, abs=1e-15)
