@@ -2,13 +2,14 @@
 
 A ball boundary is an ordered, contiguous list of pieces over a parameter
 range [t_start, t_start + 2T].  Each piece is either a strictly convex
-smooth arc given by coordinate expressions or a straight segment.  Piece
-i + n must be the antipodal copy of piece i, so u(t + T) = -u(t).
+smooth arc, held as its point, velocity and acceleration callables, or a
+straight segment.  Piece i + n must be the antipodal copy of piece i, so
+u(t + T) = -u(t); build_ball can derive that half from the first.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,51 +32,48 @@ def _interval(t0, t1):
     return float(t0), float(t1)
 
 
+def _stacked(fx, fy):
+    return lambda t: np.stack([fx(t), fy(t)], axis=-1)
+
+
 class Piece:
-    """One boundary piece: a smooth arc given by coordinate expressions
-    (straight pieces are Segments)."""
+    """One boundary piece: a smooth arc given by its point, velocity and
+    acceleration callables (straight pieces are Segments)."""
 
     kind = "arc"
 
-    def __init__(self, x_expr, y_expr, t0, t1):
+    def __init__(self, point, velocity, accel, t0, t1):
         self.t0, self.t1 = _interval(t0, t1)
-        self.x_expr = x_expr
-        self.y_expr = y_expr
-        dx = ex.differentiate(x_expr)
-        dy = ex.differentiate(y_expr)
-        self._f = (ex.compile_fn(x_expr), ex.compile_fn(y_expr))
-        self._df = (ex.compile_fn(dx), ex.compile_fn(dy))
-        self._ddf = (ex.compile_fn(ex.differentiate(dx)),
-                     ex.compile_fn(ex.differentiate(dy)))
+        self.point, self.velocity, self.accel = point, velocity, accel
 
     @classmethod
     def arc(cls, x_expr, y_expr, t0, t1):
-        return cls(ex.as_expr(x_expr), ex.as_expr(y_expr), t0, t1)
+        """The arc (x_expr, y_expr), parsed, differentiated twice and
+        compiled once."""
+        fns = []
+        for e in (ex.as_expr(x_expr), ex.as_expr(y_expr)):
+            de = ex.differentiate(e)
+            fns.append([ex.compile_fn(f)
+                        for f in (e, de, ex.differentiate(de))])
+        return cls(*map(_stacked, *fns), t0, t1)
 
     @staticmethod
     def segment(p0, p1, t0, t1):
         return Segment(p0, p1, t0, t1)
 
-    def point(self, t):
-        return np.stack([self._f[0](t), self._f[1](t)], axis=-1)
-
-    def velocity(self, t):
-        return np.stack([self._df[0](t), self._df[1](t)], axis=-1)
-
-    def accel(self, t):
-        return np.stack([self._ddf[0](t), self._ddf[1](t)], axis=-1)
+    def _affine(self, c, shift):
+        """The piece c * u(t - shift) on [t0 + shift, t1 + shift]; nothing
+        is parsed or compiled again."""
+        return Piece(*(lambda t, f=f: c * f(np.subtract(t, shift))
+                       for f in (self.point, self.velocity, self.accel)),
+                     self.t0 + shift, self.t1 + shift)
 
     def negated_shifted(self, shift):
         """The antipodal copy: u_new(t) = -u(t - shift) on [t0+shift, t1+shift]."""
-        repl = ex.BinOp("-", ex.Var(), ex.Num(float(shift)))
-        return Piece.arc(ex.Neg(ex.substitute(self.x_expr, repl)),
-                         ex.Neg(ex.substitute(self.y_expr, repl)),
-                         self.t0 + shift, self.t1 + shift)
+        return self._affine(-1.0, shift)
 
     def scaled(self, c):
-        return Piece.arc(ex.BinOp("*", ex.Num(float(c)), self.x_expr),
-                         ex.BinOp("*", ex.Num(float(c)), self.y_expr),
-                         self.t0, self.t1)
+        return self._affine(float(c), 0.0)
 
 
 class Segment(Piece):
@@ -390,9 +388,8 @@ def build_ball(pieces, auto_symmetrize=False):
 # ---------------------------------------------------------------------------
 
 def _euclidean():
-    pieces = [Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", i, i + 1)
-              for i in range(4)]
-    return build_ball(pieces)
+    return build_ball([Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", i, i + 1)
+                       for i in range(2)], auto_symmetrize=True)
 
 
 def _square():
@@ -402,8 +399,7 @@ def _square():
     return build_ball(pieces)
 
 
-def _regular_2k_gon(k=3):
-    k = int(k)
+def _regular_2k_gon(k):
     if k < 2:
         raise ValidationError("regular_2k_gon needs k >= 2")
     ang = [np.pi * j / k for j in range(2 * k)]
@@ -414,27 +410,45 @@ def _regular_2k_gon(k=3):
 
 
 def _mixed_example():
-    return build_ball([
-        Piece.segment((1, 0), (0, 1), 0, 1),
-        Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", 1, 2),
-        Piece.segment((-1, 0), (0, -1), 2, 3),
-        Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", 3, 4),
-    ])
+    return build_ball([Piece.segment((1, 0), (0, 1), 0, 1),
+                       Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", 1, 2)],
+                      auto_symmetrize=True)
 
 
+# name -> (factory, its integer parameters with their defaults)
 _BUILTINS = {
-    "euclidean": _euclidean,
-    "square": _square,
-    "regular_2k_gon": _regular_2k_gon,
-    "mixed_example21": _mixed_example,
+    "euclidean": (_euclidean, {}),
+    "square": (_square, {}),
+    "regular_2k_gon": (_regular_2k_gon, {"k": 3}),
+    "mixed_example21": (_mixed_example, {}),
 }
 
 
 def builtin_ball(name, **params):
     """One of the shipped balls: euclidean, square, regular_2k_gon(k),
-    mixed_example21."""
+    mixed_example21.
+
+    Each is built once per process: every call with the same name and
+    parameters returns the same UnitBall.
+    """
     try:
-        factory = _BUILTINS[name]
-    except KeyError:
+        _, defaults = _BUILTINS[name]
+    except (KeyError, TypeError):
         raise UnknownBuiltin(name) from None
-    return factory(**params)
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValidationError(
+                f"builtin {name!r} has no parameter {key!r}")
+        if not (isinstance(value, (int, np.integer))
+                or isinstance(value, float) and value.is_integer()):
+            raise ValidationError(
+                f"builtin parameter {key!r} must be an integer, "
+                f"got {value!r}")
+    params = {key: int(value) for key, value in {**defaults,
+                                                  **params}.items()}
+    return _built(name, tuple(params.items()))
+
+
+@lru_cache(maxsize=16)
+def _built(name, params):
+    return _BUILTINS[name][0](**dict(params))

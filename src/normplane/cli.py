@@ -14,7 +14,6 @@ import sys
 import click
 import numpy as np
 
-from . import corpus as corpus_mod
 from . import jsonio, svg
 from .curve import is_convex
 from .decomp import decompose as decompose_curve
@@ -180,7 +179,8 @@ def corpus(seed, count, out_dir, inject_bug):
     """Aggregate property checks over random curves; exit 2 on violation."""
 
     def run():
-        report = corpus_mod.run_corpus(seed, count, inject_bug=inject_bug)
+        from .corpus import run_corpus
+        report = run_corpus(seed, count, inject_bug=inject_bug)
         _emit(report, out_dir, "corpus.json")
         if report["violations"]:
             sys.exit(2)

@@ -16,8 +16,6 @@ Gram values against iso_ledger.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .ball import builtin_ball
@@ -31,9 +29,9 @@ CORPUS_BALL_NAMES = ("euclidean", "square", "regular_2k_gon",
 _KMAX = 4   # the highest mode of the default generators
 
 
-@lru_cache(maxsize=1)
 def corpus_balls():
-    """The builtin balls of the corpus, built once per process."""
+    """The builtin balls of the corpus (builtin_ball builds each once per
+    process)."""
     return tuple(builtin_ball(name) for name in CORPUS_BALL_NAMES)
 
 

@@ -412,22 +412,6 @@ def differentiate(e):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def substitute(e, replacement):
-    """Replace every occurrence of the variable t by the given expression."""
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, (Num, Pi)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, replacement))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, replacement))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, replacement),
-                     substitute(e.right, replacement))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Compilation to vectorized numpy callables
 # ---------------------------------------------------------------------------

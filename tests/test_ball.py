@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from normplane import Piece, build_ball, builtin_ball, cross2
+from normplane import (Piece, build_ball, builtin_ball, cross2, jsonio,
+                       mixed_area, signed_area)
 from normplane import expressions as ex
 from normplane.errors import (DegeneratePiece, NotClosed, NotConvex,
-                              NotSymmetric, UnknownBuiltin)
+                              NotSymmetric, UnknownBuiltin, ValidationError)
+
+from conftest import EXAMPLE22_RADII
 
 
 class TestBuiltins:
@@ -29,6 +32,38 @@ class TestBuiltins:
     def test_unknown(self):
         with pytest.raises(UnknownBuiltin):
             builtin_ball("pentagon")
+        with pytest.raises(UnknownBuiltin):
+            builtin_ball(["square"])
+
+    @pytest.mark.parametrize("name, params, named", [
+        ("regular_2k_gon", {"k": "x"}, "'k'"),
+        ("regular_2k_gon", {"k": [3]}, "'k'"),
+        ("regular_2k_gon", {"k": 2.7}, "'k'"),
+        ("regular_2k_gon", {"k": float("nan")}, "'k'"),
+        ("regular_2k_gon", {"n": 3}, "'n'"),
+        ("euclidean", {"k": 3}, "'k'"),
+    ])
+    def test_bad_parameter(self, name, params, named):
+        with pytest.raises(ValidationError, match=named):
+            builtin_ball(name, **params)
+
+    def test_one_ball_per_name_and_parameters(self):
+        assert builtin_ball("euclidean") is builtin_ball("euclidean")
+        gon = builtin_ball("regular_2k_gon", k=3)
+        assert builtin_ball("regular_2k_gon") is gon
+        assert builtin_ball("regular_2k_gon", k=3.0) is gon
+        assert builtin_ball("regular_2k_gon", k=4) is not gon
+
+    def test_documents_naming_a_builtin_share_its_ball(self):
+        # the same curve, translated, on the ball named two ways
+        docs = [{"ball": ball, "basepoint": base, "radius": EXAMPLE22_RADII}
+                for ball, base in ((("mixed_example21", [2, 1]),
+                                    ({"builtin": "mixed_example21"},
+                                     [-3.5, 0.25])))]
+        c1, c2 = (jsonio.curve_from_doc(doc) for doc in docs)
+        assert c1.ball is c2.ball
+        assert mixed_area(c1, c2) == pytest.approx(signed_area(c1),
+                                                   rel=1e-12)
 
 
 class TestDualPoint:
@@ -90,6 +125,62 @@ class TestInvariants:
         ts = np.linspace(0, 4, 97)
         np.testing.assert_allclose(ball.point(ts), euclidean.point(ts),
                                    atol=1e-12)
+
+
+def _assert_same_piece(p, q):
+    """p and q agree, to 1e-15 of the scale, in u, u' and u''."""
+    assert (p.kind, p.t0, p.t1) == (q.kind, q.t0, q.t1)
+    ts = np.linspace(q.t0, q.t1, 257)
+    for method in ("point", "velocity", "accel"):
+        want = getattr(q, method)(ts)
+        np.testing.assert_allclose(getattr(p, method)(ts), want, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(want)))
+
+
+def _quarter(c, t0):
+    c = f"{c!r}*"
+    return Piece.arc(c + "cos(pi/2*t)", c + "sin(pi/2*t)", t0, t0 + 1)
+
+
+class TestDerivedPieces:
+    # the two builtins whose antipodal half is derived, written out in full
+    WRITTEN_OUT = {
+        "euclidean": lambda: [_quarter(1.0, i) for i in range(4)],
+        "mixed_example21": lambda: [
+            Piece.segment((1, 0), (0, 1), 0, 1), _quarter(1.0, 1),
+            Piece.segment((-1, 0), (0, -1), 2, 3), _quarter(1.0, 3)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITTEN_OUT))
+    def test_builtin_matches_its_written_out_pieces(self, name):
+        ball = builtin_ball(name)
+        want = self.WRITTEN_OUT[name]()
+        assert len(ball.pieces) == len(want)
+        for p, q in zip(ball.pieces, want):
+            _assert_same_piece(p, q)
+
+    def test_arc_copies_match_written_out_arcs(self):
+        arc = _quarter(1.0, 0)
+        _assert_same_piece(arc.negated_shifted(2.0), _quarter(1.0, 2))
+        _assert_same_piece(arc.scaled(1.75), _quarter(1.75, 0))
+        _assert_same_piece(arc.scaled(0.5).negated_shifted(2.0),
+                           _quarter(0.5, 2))
+
+    def test_only_the_given_half_is_compiled(self, monkeypatch):
+        compiled = []
+        compile_fn = ex.compile_fn
+
+        def counted(e):
+            compiled.append(e)
+            return compile_fn(e)
+
+        monkeypatch.setattr(ex, "compile_fn", counted)
+        half = [Piece.segment((1, 0), (0, 1), 0, 1), _quarter(1.0, 1)]
+        assert len(compiled) == 6   # x, y and their two derivatives
+        ball = build_ball(half, auto_symmetrize=True)
+        big = ball.scaled(2.0)
+        assert big.area == pytest.approx(4 * ball.area, rel=1e-12)
+        assert len(compiled) == 6
 
 
 class TestValidationErrors:

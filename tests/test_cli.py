@@ -65,6 +65,27 @@ class TestValidate:
         res = run_cli("validate")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("ball", [
+        {"builtin": "regular_2k_gon", "k": "x"},
+        {"builtin": "regular_2k_gon", "k": [3]},
+        {"builtin": "regular_2k_gon", "k": 2.7},
+        {"builtin": "euclidean", "k": 3},
+    ])
+    def test_bad_builtin_parameter_is_invalid_input(self, tmp_path, ball):
+        p = write_doc(tmp_path / "curve.json",
+                      {"ball": ball, "radius": [1] * 6})
+        res = run_cli("validate", "--curve", p)
+        assert res.returncode == 1
+        diag = json.loads(res.stderr.splitlines()[-1])
+        assert diag["error"] == "ValidationError"
+        assert "'k'" in diag["detail"]
+
+
+def test_cli_import_leaves_the_corpus_out():
+    code = ("import sys, normplane.cli; sys.exit(bool("
+            "{'normplane.corpus', 'normplane.modes'} & set(sys.modules)))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
 
 class TestAnalyze:
     def test_example_values(self, tmp_path):
