@@ -251,14 +251,27 @@ class UnitBall:
         panels agree share one Frame object.
         """
         n, T = self.n_half, self.T
+        starts = self.breaks[:n + 1]
+
+        def f(s):
+            # the nodes of the open panels come in increasing order, so the
+            # nodes on each piece form one slice
+            cut = np.searchsorted(s, starts)
+            out = None
+            for i in np.flatnonzero(cut[1:] > cut[:-1]):
+                span = slice(cut[i], cut[i + 1])
+                si = s[span]
+                r = np.stack([radii[i](si), radii[i + n](si + T)], axis=-1)
+                du = self.pieces[i].velocity(si)
+                g = r[..., None] * du.reshape(
+                    (len(si),) + (1,) * (r.ndim - 1) + (2,))
+                if out is None:
+                    out = np.empty((len(s),) + g.shape[1:])
+                out[span] = g
+            return out
+
         leaves = []
-        for i, p in enumerate(self.pieces[:n]):
-            def f(s, i=i, p=p):
-                r = np.stack([radii[i](s), radii[i + n](s + T)], axis=-1)
-                du = p.velocity(s).reshape((len(s),) + (1,) * (r.ndim - 1)
-                                           + (2,))
-                return r[..., None] * du
-            integrate(f, p.t0, p.t1, quad, leaves=leaves)
+        integrate(f, starts[:-1], starts[1:], quad, leaves=leaves)
         return self._frame_of(tuple(leaves), quad.nodes_per_panel)
 
     def common_frame(self, f1, f2):
@@ -310,75 +323,81 @@ def build_ball(pieces, auto_symmetrize=False):
     if len(pieces) % 2 != 0:
         raise NotSymmetric(f"piece count {len(pieces)} is odd")
 
-    breaks = [pieces[0].t0]
-    for p in pieces:
-        if abs(p.t0 - breaks[-1]) > 1e-12 * max(1.0, abs(breaks[-1])):
-            raise ValidationError(
-                f"pieces are not contiguous at t={breaks[-1]}")
-        breaks.append(p.t1)
-    breaks = np.array(breaks)
+    t0 = np.array([p.t0 for p in pieces])
+    t1 = np.array([p.t1 for p in pieces])
+    prev = np.concatenate([t0[:1], t1[:-1]])
+    bad = np.abs(t0 - prev) > 1e-12 * np.maximum(1.0, np.abs(prev))
+    if bad.any():
+        raise ValidationError(
+            f"pieces are not contiguous at t={prev[np.argmax(bad)]}")
+    breaks = np.concatenate([t0[:1], t1])
     T = 0.5 * (breaks[-1] - breaks[0])
     n = len(pieces) // 2
 
-    # sample nodes per piece (interior Gauss nodes plus endpoints)
+    # sample each piece once, shape (pieces, nodes): the interior Gauss
+    # nodes plus both ends, exactly
     x, _ = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)
     ref = np.concatenate(([-1.0], x, [1.0]))
-    samples = []
-    for p in pieces:
-        ts = 0.5 * (p.t0 + p.t1) + 0.5 * (p.t1 - p.t0) * ref
-        samples.append((p, ts, p.point(ts), p.velocity(ts)))
+    ts = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * ref
+    ts[:, 0], ts[:, -1] = t0, t1
+    u = np.stack([p.point(t) for p, t in zip(pieces, ts)])
+    du = np.stack([p.velocity(t) for p, t in zip(pieces, ts)])
 
-    all_u = np.concatenate([s[2] for s in samples])
-    diameter = 2.0 * float(np.max(np.linalg.norm(all_u, axis=-1)))
+    diameter = 2.0 * float(np.max(np.linalg.norm(u, axis=-1)))
     if diameter == 0:
         raise ValidationError("degenerate ball")
     eps_reg = 1e-9 * diameter
     tol_geom = 1e-9 * diameter
 
-    for p, ts, u, du in samples:
-        if np.min(np.linalg.norm(du, axis=-1)) < eps_reg:
+    slow = np.min(np.linalg.norm(du, axis=-1), axis=1) < eps_reg
+    inward = np.min(cross2(u, du), axis=1) <= eps_reg
+    bent = np.zeros(len(pieces), dtype=bool)
+    arcs = [i for i, p in enumerate(pieces) if p.kind == "arc"]
+    if arcs:
+        ddu = np.stack([pieces[i].accel(ts[i]) for i in arcs])
+        bent[arcs] = np.min(cross2(du[arcs], ddu), axis=1) <= 0
+    faulty = slow | inward | bent
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        p = pieces[i]
+        if slow[i]:
             raise DegeneratePiece(
                 f"u' vanishes on piece [{p.t0}, {p.t1}]")
-        if np.min(cross2(u, du)) <= eps_reg:
+        if inward[i]:
             raise NotConvex(
                 f"[u, u'] is not strictly positive on piece [{p.t0}, {p.t1}]"
                 " (origin not strictly inside or wrong orientation)")
-        if p.kind == "arc":
-            k = cross2(du, p.accel(ts))
-            if np.min(k) <= 0:
-                raise NotConvex(
-                    f"[u', u''] changes sign or vanishes on arc "
-                    f"[{p.t0}, {p.t1}]")
+        raise NotConvex(
+            f"[u', u''] changes sign or vanishes on arc [{p.t0}, {p.t1}]")
 
     # closure
-    gap = np.linalg.norm(pieces[-1].point(np.array(breaks[-1]))
-                         - pieces[0].point(np.array(breaks[0])))
+    gap = np.linalg.norm(u[-1, -1] - u[0, 0])
     if gap > tol_geom:
         raise NotClosed(f"boundary gap {gap:.3e} exceeds tolerance")
 
     # antipodal pairing: intervals and values
-    for i in range(n):
-        p, q = pieces[i], pieces[i + n]
-        if (abs(q.t0 - p.t0 - T) > 1e-9 * max(1.0, T)
-                or abs(q.t1 - p.t1 - T) > 1e-9 * max(1.0, T)):
+    tol_t = 1e-9 * max(1.0, T)
+    shifted = ((np.abs(t0[n:] - t0[:n] - T) > tol_t)
+               | (np.abs(t1[n:] - t1[:n] - T) > tol_t))
+    mismatch = np.max(np.linalg.norm(u[:n] + u[n:], axis=-1), axis=1)
+    unpaired = shifted | (mismatch > tol_geom)
+    if unpaired.any():
+        i = int(np.argmax(unpaired))
+        if shifted[i]:
             raise NotSymmetric(
                 f"piece {i + n} interval is not piece {i} shifted by T")
-        _, ts, u, _ = samples[i]
-        mismatch = np.max(np.linalg.norm(u + q.point(ts + T), axis=-1))
-        if mismatch > tol_geom:
-            raise NotSymmetric(
-                f"u(t+T) != -u(t) on piece {i} (error {mismatch:.3e})")
+        raise NotSymmetric(
+            f"u(t+T) != -u(t) on piece {i} (error {mismatch[i]:.3e})")
 
     # convexity across vertices: left/right tangents must turn left
-    for i in range(len(pieces)):
-        prev = pieces[i - 1]
-        cur = pieces[i]
-        vl = prev.velocity(np.array(prev.t1))
-        vr = cur.velocity(np.array(cur.t0 if i > 0 else cur.t0))
-        turn = cross2(vl, vr)
-        if turn < -eps_reg * max(1.0, float(np.linalg.norm(vl) *
-                                            np.linalg.norm(vr))):
-            raise NotConvex(f"right turn at vertex t={cur.t0}")
+    vl = np.roll(du[:, -1], 1, axis=0)
+    vr = du[:, 0]
+    turn = cross2(vl, vr)
+    right = turn < -eps_reg * np.maximum(
+        1.0, np.linalg.norm(vl, axis=-1) * np.linalg.norm(vr, axis=-1))
+    if right.any():
+        raise NotConvex(
+            f"right turn at vertex t={pieces[int(np.argmax(right))].t0}")
 
     return UnitBall(pieces, breaks, T, diameter)
 

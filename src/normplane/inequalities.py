@@ -13,7 +13,7 @@ isoperimetric inequality of the normed plane.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,15 +88,26 @@ def iso_ledger(curve):
 
 @dataclass(frozen=True)
 class Polygon:
-    """Strictly convex polygon, counterclockwise vertices."""
+    """Strictly convex polygon, counterclockwise vertices.
+
+    unit_normals, when given, are the outward unit normals of the edges
+    (edge i runs from vertex i to vertex i + 1) that the vertices were
+    computed from.  Such a polygon is convex by construction, and its
+    vertices are not checked again: next to a nearly flat vertex or a very
+    short edge they cannot resolve the turn.
+    """
 
     vertices: np.ndarray
+    unit_normals: np.ndarray | None = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise ValidationError("polygon needs at least 3 vertices")
+        if self.unit_normals is not None:
+            return
         edges = np.roll(verts, -1, axis=0) - verts
         turns = cross2(edges, np.roll(edges, -1, axis=0))
         if np.any(turns <= 0):
@@ -110,6 +121,8 @@ class Polygon:
     @property
     def normals(self):
         """Unit outward normals, one per edge."""
+        if self.unit_normals is not None:
+            return self.unit_normals
         e = self.edges
         n = np.stack([e[:, 1], -e[:, 0]], axis=-1)
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
@@ -119,7 +132,8 @@ class Polygon:
         return shoelace_area(self.vertices)
 
     def scaled(self, c):
-        return Polygon(c * self.vertices)
+        return Polygon(c * self.vertices,
+                       self.unit_normals if c > 0 else None)
 
 
 def _tangent_polygon(normals):
@@ -138,34 +152,44 @@ def _tangent_polygon(normals):
     if np.any(gaps >= np.pi - 1e-12):
         raise DegenerateIntersection(
             "normals leave a half-plane uncovered; intersection is unbounded")
-    verts = []
-    m = len(normals)
-    for i in range(m):
-        n1 = normals[i]
-        n2 = normals[(i + 1) % m]
-        det = cross2(n1, n2)
-        if abs(det) < 1e-14:
-            raise DegenerateIntersection(
-                f"parallel consecutive normals: edges {order[i]} and "
-                f"{order[(i + 1) % m]} (|det| {abs(det):.1e})")
-        # solve n1.x = 1, n2.x = 1
-        verts.append(((n2[1] - n1[1]) / det, (n1[0] - n2[0]) / det))
-    return Polygon(np.array(verts))
+    nxt = np.roll(normals, -1, axis=0)
+    det = cross2(normals, nxt)
+    flat = np.abs(det) < 1e-14
+    if flat.any():
+        i = int(np.argmax(flat))
+        raise DegenerateIntersection(
+            f"parallel consecutive normals: edges {order[i]} and "
+            f"{order[(i + 1) % len(order)]} (|det| {abs(det[i]):.1e})")
+    # n1.x = 1 and n2.x = 1 meet on the bisector of the unit normals, at
+    # (n1 + n2) / (1 + n1.n2), which stays accurate for nearly parallel
+    # normals; Cramer's rule does for normals more than a right angle apart
+    dot = np.sum(normals * nxt, axis=-1)
+    near = dot >= 0
+    verts = np.empty_like(normals)
+    verts[near] = (normals[near] + nxt[near]) / (1.0 + dot[near, None])
+    verts[~near] = (np.column_stack([nxt[~near, 1] - normals[~near, 1],
+                                     normals[~near, 0] - nxt[~near, 0]])
+                    / det[~near, None])
+    # the edge from vertex i to vertex i + 1 lies on line i + 1
+    return Polygon(verts, unit_normals=nxt)
 
 
 def _dedupe_normals(normals, tol=1e-12):
-    angles = np.mod(np.arctan2(normals[:, 1], normals[:, 0]), 2 * np.pi)
-    order = np.argsort(angles)
-    keep = []
-    last = None
-    for i in order:
-        if last is None or angles[i] - last > tol:
-            keep.append(i)
-            last = angles[i]
-    # wrap-around duplicate
-    if len(keep) > 1 and (angles[keep[0]] + 2 * np.pi - last) <= tol:
-        keep.pop(0)
-    return normals[keep]
+    """The normals and their negatives, one kept per run of directions
+    less than tol apart (each within tol of the one before it), the first
+    of each run.  Runs are found among line directions, on a half turn, so
+    the result holds -n exactly for every n in it."""
+    theta = np.arctan2(normals[:, 1], normals[:, 0])
+    line = np.mod(theta, np.pi)
+    order = np.argsort(line)
+    line = line[order]
+    keep = np.concatenate([[True], np.diff(line) > tol])
+    # the last run may wrap around onto the first
+    if keep.sum() > 1 and line[0] + np.pi - line[keep][-1] <= tol:
+        keep[0] = False
+    upper = (theta >= 0) & (theta < np.pi)
+    half = np.where(upper[:, None], normals, -normals)[order[keep]]
+    return np.concatenate([half, -half])
 
 
 def circumscribed_parallel_polygon(K):
@@ -174,9 +198,22 @@ def circumscribed_parallel_polygon(K):
 
 
 def symmetrize_polygon(K1):
-    """K1 intersected with -K1: the tangent polygon over normals +-n_i."""
-    normals = np.concatenate([K1.normals, -K1.normals])
-    return _tangent_polygon(_dedupe_normals(normals))
+    """K1 intersected with -K1: the tangent polygon over normals +-n_i.
+
+    It is made a unit ball, whose checks resolve lengths down to 1e-9 of
+    its diameter, so a side shorter than twice that raises
+    DegenerateIntersection.
+    """
+    K1_0 = _tangent_polygon(_dedupe_normals(K1.normals))
+    sides = np.linalg.norm(K1_0.edges, axis=-1)
+    diameter = 2.0 * np.max(np.linalg.norm(K1_0.vertices, axis=-1))
+    short = sides < 2e-9 * diameter
+    if short.any():
+        i = int(np.argmax(short))
+        raise DegenerateIntersection(
+            f"side {i} of K1^0 is {sides[i]:.1e} long, below the resolution "
+            f"of a ball of diameter {diameter:.1e}")
+    return K1_0
 
 
 def polygon_ball(P):
@@ -235,21 +272,20 @@ def embed_polygon(K, ball_poly, ball=None):
     dots = k_normals @ ball_normals.T
     # [m, n] for every ball normal m and K normal n
     sines = (k_normals[:, ::-1] * (1.0, -1.0)) @ ball_normals.T
-    match = np.argmin(np.abs(np.arctan2(sines, dots)), axis=1).tolist()
-    radii = [0.0] * len(ball_edges)
-    for i, j in enumerate(match):
-        if dots[i, j] < 1.0 - 1e-9:
-            raise EmbeddingFailed(
-                f"edge {i} of K has no parallel ball edge; the construction "
-                "guarantees one, so this indicates a bug")
-        radii[j] += float(np.linalg.norm(k_edges[i])
-                          / np.linalg.norm(ball_edges[j]))
+    match = np.argmin(np.abs(np.arctan2(sines, dots)), axis=1)
+    unmatched = dots[np.arange(len(match)), match] < 1.0 - 1e-9
+    if unmatched.any():
+        raise EmbeddingFailed(
+            f"edge {int(np.argmax(unmatched))} of K has no parallel ball "
+            "edge; the construction guarantees one, so this indicates a bug")
+    radii = np.bincount(match, weights=np.linalg.norm(k_edges, axis=-1)
+                        / np.linalg.norm(ball_edges[match], axis=-1),
+                        minlength=len(ball_edges))
     # the curve starts where the first K edge on the first matched piece
     # does; a run of merged edges may wrap past the end of the list
-    first = min(match)
-    start = next(i for i, j in enumerate(match)
-                 if j == first and match[i - 1] != first)
-    return AdmissibleCurve(ball, radii, K.vertices[start])
+    first = match == match.min()
+    start = int(np.argmax(first & ~np.roll(first, 1)))
+    return AdmissibleCurve(ball, radii.tolist(), K.vertices[start])
 
 
 def lhuilier_check(K):
@@ -263,8 +299,7 @@ def lhuilier_check(K):
     A_ball = K1_0.area
     gap = L * L / (4.0 * A_ball) - A_K
     # equality iff the radius is the same constant on every piece
-    r = np.array([float(gamma.radii[i](np.full(1, 0.5 * (p.t0 + p.t1)))[0])
-                  for i, p in enumerate(ball.pieces)])
+    r = gamma.table().r
     spread = float(np.max(r) - np.min(r))
     equality = spread <= 1e-8 * max(float(np.max(np.abs(r))), 1e-300)
     return LhuilierReport(

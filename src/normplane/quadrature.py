@@ -39,47 +39,87 @@ def gauss_legendre(n):
 def panel(f, a, b, n):
     """Fixed n-node Gauss-Legendre estimate of the integral of f over [a, b].
 
-    f maps an array of parameters to an array whose first axis matches the
-    input; trailing axes (e.g. vector components) are integrated
-    componentwise.
+    a and b are scalars, or arrays of one shape S holding one panel each.
+    f maps a 1-D array of parameters, the nodes of every panel in turn, to
+    an array whose first axis matches it; trailing axes (e.g. vector
+    components) are integrated componentwise.  The result has shape S plus
+    those trailing axes.
     """
     x, w = gauss_legendre(n)
-    ts = 0.5 * (a + b) + 0.5 * (b - a) * x
-    vals = np.asarray(f(ts), dtype=float)
-    return 0.5 * (b - a) * np.tensordot(w, vals, axes=(0, 0))
-
-
-def _adapt(f, a, b, whole, quad, depth, leaves):
-    m = 0.5 * (a + b)
-    left = panel(f, a, m, quad.nodes_per_panel)
-    right = panel(f, m, b, quad.nodes_per_panel)
-    refined = left + right
-    err = np.max(np.abs(whole - refined))
-    scale = max(np.max(np.abs(refined)), np.max(np.abs(whole)))
-    if err <= max(quad.rel_tol * scale, quad.abs_tol):
-        if leaves is not None:
-            leaves += [(a, m), (m, b)]
-        return refined
-    if depth >= quad.max_depth:
-        raise NoConvergence(
-            f"quadrature did not converge on [{a}, {b}] "
-            f"(error {err:.3e}, scale {scale:.3e})")
-    return (_adapt(f, a, m, left, quad, depth + 1, leaves)
-            + _adapt(f, m, b, right, quad, depth + 1, leaves))
+    a = np.asarray(a, dtype=float)
+    half = 0.5 * (b - a)
+    ts = (0.5 * (a + b))[..., None] + half[..., None] * x
+    vals = np.asarray(f(ts.ravel()), dtype=float)
+    tail = vals.shape[1:]
+    sums = w @ vals.reshape((-1, n, int(np.prod(tail))))
+    return (half.reshape(-1, 1) * sums).reshape(a.shape + tail)
 
 
 def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
-    """Adaptive panel-halving integral of f over [a, b].
+    """Adaptive panel-halving integral of f over [a, b], or over each
+    interval [a[k], b[k]] when a and b are 1-D arrays.
+
+    The rule runs level by level.  At each level the two halves of every
+    panel still open, on all intervals, are estimated in one panel call, so
+    f sees the nodes of the open panels interval by interval, each
+    interval's panels in increasing order.  A panel is accepted when its
+    halves' sum agrees with it to within max(rel_tol * scale, abs_tol) in
+    every component; a panel still open at max_depth raises NoConvergence.
 
     When leaves is a list, the accepted panels are appended to it as
-    (lo, hi) pairs in increasing order; the integral is the sum of the
-    nodes_per_panel-point rule over exactly those panels.
+    (lo, hi) pairs, interval by interval and each in increasing order; the
+    integral is the sum of the nodes_per_panel-point rule over exactly
+    those panels, added in the order of the halving tree.
     """
-    if a == b:
-        probe = np.asarray(f(np.array([a])), dtype=float)
-        return np.zeros(probe.shape[1:])[()] if probe.ndim > 1 else 0.0
-    whole = panel(f, a, b, quad.nodes_per_panel)
-    return _adapt(f, a, b, whole, quad, 0, leaves)
+    scalar = np.ndim(a) == 0
+    lo = np.atleast_1d(np.asarray(a, dtype=float))
+    hi = np.atleast_1d(np.asarray(b, dtype=float))
+    owner = np.flatnonzero(lo != hi)   # the interval of each open panel
+    if not len(owner):
+        probe = np.asarray(f(lo[:1]), dtype=float)
+        total = np.zeros(lo.shape + probe.shape[1:])
+        return total[0] if scalar else total
+    n = quad.nodes_per_panel
+    a, b = lo[owner], hi[owner]
+    whole = panel(f, a, b, n)
+    levels = []   # per level: owner, a, m, b, accepted, value
+    for depth in range(quad.max_depth + 1):
+        m = 0.5 * (a + b)
+        halves = panel(f, np.column_stack([a, m]).ravel(),
+                       np.column_stack([m, b]).ravel(), n)
+        refined = halves[0::2] + halves[1::2]
+        flat = (len(a), -1)
+        err = np.abs(whole - refined).reshape(flat).max(axis=1)
+        scale = np.maximum(np.abs(refined).reshape(flat).max(axis=1),
+                           np.abs(whole).reshape(flat).max(axis=1))
+        ok = err <= np.maximum(quad.rel_tol * scale, quad.abs_tol)
+        levels.append((owner, a, m, b, ok, refined))
+        if ok.all():
+            break
+        if depth == quad.max_depth:
+            k = int(np.argmin(ok))
+            raise NoConvergence(
+                f"quadrature did not converge on [{float(a[k])}, "
+                f"{float(b[k])}] (error {err[k]:.3e}, scale {scale[k]:.3e})")
+        owner = np.repeat(owner[~ok], 2)
+        a, b = (np.column_stack([a[~ok], m[~ok]]).ravel(),
+                np.column_stack([m[~ok], b[~ok]]).ravel())
+        whole = halves[np.repeat(~ok, 2)]
+    # a refined panel's value is its halves' values added, deepest first
+    value = levels[-1][-1]
+    for _, _, _, _, ok, refined in reversed(levels[:-1]):
+        refined[~ok] = value[0::2] + value[1::2]
+        value = refined
+    total = np.zeros(lo.shape + value.shape[1:])
+    total[levels[0][0]] = value
+    if leaves is not None:
+        owner, a, m, b = (np.concatenate([lv[j][lv[4]] for lv in levels])
+                          for j in range(4))
+        order = np.lexsort((a, owner))
+        ends = np.column_stack([a, m, b])[order]
+        leaves += zip(ends[:, :2].ravel().tolist(),
+                      ends[:, 1:].ravel().tolist())
+    return total[0] if scalar else total
 
 
 def integrate_piecewise(f, partition, quad=DEFAULT_CONFIG):

@@ -152,6 +152,19 @@ class TestEmbedding:
         L = dual_length(gamma)
         assert L > 0
 
+    def test_dual_length_is_the_perimeter(self):
+        # every side of K1^0 is tangent to the unit circle, so [u, u'] is
+        # the side's length and r [u, u'] the matched edge's length of K
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            K = random_convex_polygon(rng, int(rng.integers(5, 49)))
+            K1 = circumscribed_parallel_polygon(K)
+            gamma = embed_polygon(K, symmetrize_polygon(K1))
+            per = float(np.sum(np.linalg.norm(K.edges, axis=-1)))
+            assert abs(dual_length(gamma) - per) <= 1e-12 * per
+            # the classical Lhuilier inequality, an independent oracle
+            assert per * per >= 4.0 * K1.area * K.area
+
 
 class TestLhuilier:
     def test_random_polygons_nonnegative_gap(self):
@@ -225,3 +238,62 @@ class TestNearParallelEdges:
             assert _distance_to_polygon(v, corners) < 1e-9
         for c in corners:
             assert _distance_to_polygon(c, K.vertices) < 1e-9
+
+
+def _ellipse_polygon(rng, n, aspect):
+    """n jittered points on a randomly placed ellipse of the given aspect
+    ratio (aspect 1e6 is a needle)."""
+    theta = (np.arange(n) + rng.uniform(0.15, 0.85, n)) * 2 * np.pi / n
+    phi = rng.uniform(0.0, np.pi)
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    pts = np.stack([np.cos(theta), np.sin(theta) / aspect], axis=-1)
+    return (pts @ rot.T) * rng.uniform(0.1, 10.0) + rng.uniform(-1, 1, 2)
+
+
+def _split_edge(rng, verts, eps):
+    """verts with one edge bent outward at its midpoint, so that the two
+    new edges have normals about eps apart."""
+    k = int(rng.integers(len(verts)))
+    a, b = verts[k], verts[(k + 1) % len(verts)]
+    e = b - a
+    bend = 0.25 * np.tan(eps) * np.array([e[1], -e[0]])
+    return np.insert(verts, k + 1, 0.5 * (a + b) + bend, axis=0)
+
+
+def _sweep_cases():
+    """(name, vertices, whether a report is due) for needles, polygons with
+    many vertices and near-parallel edge pairs.  A needle past aspect 1e4
+    may have K1^0 sides below its ball's resolution, and a pair closer than
+    1e-13 may meet the 1e-14 floor on the normals' determinant."""
+    rng = np.random.default_rng(20261)
+    for aspect in 10.0 ** np.arange(0, 6.5, 0.5):
+        for n in (3, 4, 5, 8, 17, 48, 96):
+            yield (f"needle {aspect:.0e} n={n}",
+                   _ellipse_polygon(rng, n, aspect), aspect <= 1e4)
+    for n in (200, 350, 500):
+        for aspect in (1.0, 30.0, 1e3):
+            yield (f"{n}-gon {aspect:.0e}", _ellipse_polygon(rng, n, aspect),
+                   True)
+    for eps in 10.0 ** np.arange(-15, -3.5, 0.5):
+        for n in (4, 7, 20):
+            base = _ellipse_polygon(rng, n, rng.uniform(1.0, 3.0))
+            yield (f"near-parallel {eps:.0e} n={n}",
+                   _split_edge(rng, base, eps), eps >= 1e-13)
+        for roll in (0, -2):
+            yield (f"near-parallel {eps:.0e} roll={roll}",
+                   _near_parallel(eps, roll).vertices, eps >= 1e-13)
+
+
+def test_near_degenerate_sweep():
+    # a report with a non-negative gap and L* the perimeter, or a named
+    # degeneracy, never another failure
+    for name, verts, due in _sweep_cases():
+        K = Polygon(verts)
+        try:
+            rep = lhuilier_check(K)
+        except DegenerateIntersection:
+            assert not due, name
+            continue
+        assert rep.gap >= -1e-9 * rep.scale, name
+        per = float(np.sum(np.linalg.norm(K.edges, axis=-1)))
+        assert abs(rep.dual_length - per) <= 1e-12 * per, name

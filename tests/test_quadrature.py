@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from normplane import QuadratureConfig, builtin_ball, cross2
-from normplane.errors import NoConvergence
+from normplane import (QuadratureConfig, builtin_ball,
+                       circumscribed_parallel_polygon, cross2,
+                       curve_from_radius, embed_polygon, symmetrize_polygon)
+from normplane.corpus import corpus_balls, random_convex_polygon
+from normplane.errors import DomainError, NoConvergence
 from normplane.expressions import compile_fn
-from normplane.quadrature import integrate, integrate_piecewise
+from normplane.modes import modes_of
+from normplane.quadrature import (DEFAULT_CONFIG, integrate,
+                                  integrate_piecewise, panel)
 
 
 def test_constant_over_partition():
@@ -56,3 +61,132 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1)
     with pytest.raises(ValueError):
         QuadratureConfig(nodes_per_panel=1)
+
+
+# -- the level-synchronous rule against the recursive one it replaced -------
+
+def _adapt(f, a, b, whole, quad, depth, leaves):
+    m = 0.5 * (a + b)
+    left = panel(f, a, m, quad.nodes_per_panel)
+    right = panel(f, m, b, quad.nodes_per_panel)
+    refined = left + right
+    err = np.max(np.abs(whole - refined))
+    scale = max(np.max(np.abs(refined)), np.max(np.abs(whole)))
+    if err <= max(quad.rel_tol * scale, quad.abs_tol):
+        leaves += [(a, m), (m, b)]
+        return refined
+    if depth >= quad.max_depth:
+        raise NoConvergence(
+            f"quadrature did not converge on [{a}, {b}] "
+            f"(error {err:.3e}, scale {scale:.3e})")
+    return (_adapt(f, a, m, left, quad, depth + 1, leaves)
+            + _adapt(f, m, b, right, quad, depth + 1, leaves))
+
+
+def reference_integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
+    """The recursive rule: one panel call per panel, depth first."""
+    whole = panel(f, a, b, quad.nodes_per_panel)
+    return _adapt(f, a, b, whole, quad, 0, [] if leaves is None else leaves)
+
+
+def _r_du(ball, radii):
+    """r u' on the first half period, for the radii of a piece and of its
+    antipode stacked on the last axis but one, at increasing parameters; a
+    radius may return trailing axes."""
+    n, T = ball.n_half, ball.T
+
+    def f(s):
+        cut = np.searchsorted(s, ball.breaks[:n + 1])
+        parts = []
+        for i in np.flatnonzero(np.diff(cut)):
+            si = s[cut[i]:cut[i + 1]]
+            r = np.stack([radii[i](si), radii[i + n](si + T)], axis=-1)
+            parts.append(r[..., None] * ball.pieces[i].velocity(si).reshape(
+                (len(si),) + (1,) * (r.ndim - 1) + (2,)))
+        return np.concatenate(parts)
+    return f
+
+
+def _check_against_reference(ball, radii, quad=DEFAULT_CONFIG):
+    """The panels of UnitBall.frame, and the panels and values of the
+    level-synchronous rule on all first-half pieces at once, are those of
+    the recursive rule on each piece."""
+    n = ball.n_half
+    f = _r_du(ball, radii)
+    got, want = [], []
+    values = integrate(f, ball.breaks[:n], ball.breaks[1:n + 1], quad, got)
+    for i, p in enumerate(ball.pieces[:n]):
+        np.testing.assert_array_equal(
+            values[i], reference_integrate(f, p.t0, p.t1, quad, want))
+    assert got == want
+    assert ball.frame(quad, radii).leaves == tuple(want)
+
+
+def _wavy(ball, k=20, b=0.5):
+    m = k * ball.n_half
+    return lambda t: 1.0 + b * np.cos(2 * m * np.pi * (t - ball.t_start)
+                                      / ball.T)
+
+
+def _peaked(ball):
+    """A bump 1/100 of T wide: panels of several sizes on one piece."""
+    at = ball.t_start + 0.1 * ball.T
+    return lambda t: 1.0 + np.exp(-((t - at) / (0.01 * ball.T)) ** 2)
+
+
+@pytest.mark.parametrize("name", ["euclidean", "square", "regular_2k_gon",
+                                  "mixed_example21"])
+def test_builtin_balls_match_the_recursive_rule(name):
+    ball = builtin_ball(name)
+    for quad in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6)):
+        for radius in (_wavy(ball), _peaked(ball)):
+            _check_against_reference(ball, [radius] * len(ball.pieces), quad)
+
+
+def test_example22_matches_the_recursive_rule(example22):
+    _check_against_reference(example22.ball, example22.radii)
+
+
+def test_mode_batches_match_the_recursive_rule():
+    # corpus modes: radii with a trailing axis of 2 kmax + 1 modes
+    for ball in corpus_balls():
+        modes = modes_of(ball, 4)
+        _check_against_reference(ball, [modes.values] * len(ball.pieces))
+
+
+def test_polygon_balls_match_the_recursive_rule():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        K = random_convex_polygon(rng, int(rng.integers(5, 49)))
+        gamma = embed_polygon(K, symmetrize_polygon(
+            circumscribed_parallel_polygon(K)))
+        _check_against_reference(gamma.ball, gamma.radii)
+
+
+def test_scalar_and_array_ends_agree():
+    f = compile_fn("exp(sin(7*t))")
+    lo, hi = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 2.5])
+    leaves = []
+    got = integrate(f, lo, hi, leaves=leaves)
+    want = []
+    for k in range(3):
+        assert got[k] == integrate(f, lo[k], hi[k], leaves=want)
+    assert got[2] == 0.0
+    assert leaves == want
+    assert all(a < b for a, b in leaves)
+
+
+def test_no_convergence_names_the_leftmost_open_panel():
+    config = QuadratureConfig(nodes_per_panel=4, rel_tol=1e-14, max_depth=3)
+    step = lambda t: np.where(t < np.sqrt(2) / 2, 0.0, 1.0)
+    with pytest.raises(NoConvergence) as got:
+        integrate(step, np.array([-1.0, 0.0]), np.array([0.0, 1.0]), config)
+    with pytest.raises(NoConvergence) as want:
+        reference_integrate(step, 0.0, 1.0, config)
+    assert str(got.value) == str(want.value)
+
+
+def test_domain_error_names_the_antipodal_piece(euclidean):
+    # the radius leaves its domain only on the second half period
+    with pytest.raises(DomainError, match=r"piece 3 .*t=3\.0013"):
+        curve_from_radius(euclidean, ["1", "1", "1", "sqrt(t - 3.5)"])
