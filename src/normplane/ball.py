@@ -134,26 +134,19 @@ class Frame:
         self.weights = self.half[:, None] * w
         self.piece = ball.piece_index(self.mid)
         # the panels of piece i are first[i] .. first[i + 1] - 1
-        self.first = np.searchsorted(self.piece,
-                                     np.arange(len(ball.pieces) + 1))
-        self.u = np.empty(self.t.shape + (2,))
-        self.du = np.empty(self.t.shape + (2,))
-        self._pieces = ball.pieces
-        for i, p in enumerate(ball.pieces):
+        self.first = np.searchsorted(self.piece, np.arange(ball.n_pieces + 1))
+        # u, u' at the nodes and u_lo, u at each panel's left end: every
+        # segment in one gather by piece, then each arc on its panels
+        idx = np.broadcast_to(self.piece[:, None], self.t.shape)
+        self.u, self.du = ball.on_segments(idx, self.t)
+        self.u_lo = ball.on_segments(self.piece, self.lo)[0]
+        for i, p in ball.arcs.items():
             span = slice(self.first[i], self.first[i + 1])
             self.u[span] = p.point(self.t[span])
             self.du[span] = p.velocity(self.t[span])
+            self.u_lo[span] = p.point(self.lo[span])
         self.cross = cross2(self.u, self.du)
         self.area = 0.5 * float(self.integral(self.cross))
-
-    @cached_property
-    def u_lo(self):
-        """u at each panel's left end lo."""
-        u = np.empty(self.lo.shape + (2,))
-        for i, p in enumerate(self._pieces):
-            span = slice(self.first[i], self.first[i + 1])
-            u[span] = p.point(self.lo[span])
-        return u
 
     def cuts(self, i):
         """The panel ends on piece i, for i in the first half period."""
@@ -178,20 +171,112 @@ class Frame:
 class UnitBall:
     """A validated smooth-by-parts symmetric unit ball.
 
-    Immutable after construction; use :func:`build_ball`.
+    Piece i runs over [t0[i], t1[i]].  A segment is held as rows: p0[i] +
+    slope[i] (t - t0[i]) runs from p0[i] to p1[i].  arcs maps the index of
+    every arc to its Piece; the rows of an arc are zero.  The pieces are
+    validated on construction; use :func:`build_ball`.
     """
 
-    def __init__(self, pieces, breaks, T, diameter):
-        self.pieces = tuple(pieces)
-        self.breaks = np.asarray(breaks, dtype=float)
-        self.T = float(T)
-        self.n_half = len(pieces) // 2
+    def __init__(self, t0, t1, p0, p1, arcs):
+        m = len(t0)
+        if m % 2 != 0:
+            raise NotSymmetric(f"piece count {m} is odd")
+        prev = np.concatenate([t0[:1], t1[:-1]])
+        bad = np.abs(t0 - prev) > 1e-12 * np.maximum(1.0, np.abs(prev))
+        if bad.any():
+            raise ValidationError(
+                f"pieces are not contiguous at t={prev[np.argmax(bad)]}")
+        self.t0, self.t1, self.p0, self.p1 = t0, t1, p0, p1
+        self.slope = (p1 - p0) / (t1 - t0)[:, None]
+        self.arcs = arcs
+        self.n_pieces = m
+        self.n_half = m // 2
+        self.breaks = np.concatenate([t0[:1], t1])
+        self.T = float(0.5 * (self.breaks[-1] - self.breaks[0]))
         self.t_start = float(self.breaks[0])
-        self.diameter = float(diameter)
-        self.eps_reg = 1e-9 * self.diameter
-        self.tol_geom = 1e-9 * self.diameter
         self._frames = {}       # (panels, nodes) -> Frame
         self._own_frame = None  # the Frame of r = 1
+
+        # sample each piece once, shape (pieces, nodes): the interior Gauss
+        # nodes plus both ends, exactly
+        n, T = self.n_half, self.T
+        x, _ = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)
+        ref = np.concatenate(([-1.0], x, [1.0]))
+        ts = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * ref
+        ts[:, 0], ts[:, -1] = t0, t1
+        rows = np.arange(m)[:, None].repeat(ts.shape[1], axis=1)
+        u, du = self.on_segments(rows, ts)
+        for i, p in self.arcs.items():
+            u[i], du[i] = p.point(ts[i]), p.velocity(ts[i])
+
+        self.diameter = 2.0 * float(np.max(np.linalg.norm(u, axis=-1)))
+        if self.diameter == 0:
+            raise ValidationError("degenerate ball")
+        eps_reg = self.eps_reg = 1e-9 * self.diameter
+        tol_geom = self.tol_geom = 1e-9 * self.diameter
+
+        slow = np.min(np.linalg.norm(du, axis=-1), axis=1) < eps_reg
+        inward = np.min(cross2(u, du), axis=1) <= eps_reg
+        bent = np.zeros(m, dtype=bool)
+        arcs = list(self.arcs)
+        if arcs:
+            ddu = np.stack([self.arcs[i].accel(ts[i]) for i in arcs])
+            bent[arcs] = np.min(cross2(du[arcs], ddu), axis=1) <= 0
+        faulty = slow | inward | bent
+        if faulty.any():
+            i = int(np.argmax(faulty))
+            where = f"[{t0[i]}, {t1[i]}]"
+            if slow[i]:
+                raise DegeneratePiece(f"u' vanishes on piece {where}")
+            if inward[i]:
+                raise NotConvex(
+                    f"[u, u'] is not strictly positive on piece {where}"
+                    " (origin not strictly inside or wrong orientation)")
+            raise NotConvex(
+                f"[u', u''] changes sign or vanishes on arc {where}")
+
+        # closure
+        gap = np.linalg.norm(u[-1, -1] - u[0, 0])
+        if gap > tol_geom:
+            raise NotClosed(f"boundary gap {gap:.3e} exceeds tolerance")
+
+        # antipodal pairing: intervals and values
+        tol_t = 1e-9 * max(1.0, T)
+        shifted = ((np.abs(t0[n:] - t0[:n] - T) > tol_t)
+                   | (np.abs(t1[n:] - t1[:n] - T) > tol_t))
+        mismatch = np.max(np.linalg.norm(u[:n] + u[n:], axis=-1), axis=1)
+        unpaired = shifted | (mismatch > tol_geom)
+        if unpaired.any():
+            i = int(np.argmax(unpaired))
+            if shifted[i]:
+                raise NotSymmetric(
+                    f"piece {i + n} interval is not piece {i} shifted by T")
+            raise NotSymmetric(
+                f"u(t+T) != -u(t) on piece {i} (error {mismatch[i]:.3e})")
+
+        # convexity across vertices: left/right tangents must turn left
+        vl = np.roll(du[:, -1], 1, axis=0)
+        vr = du[:, 0]
+        turn = cross2(vl, vr)
+        right = turn < -eps_reg * np.maximum(
+            1.0, np.linalg.norm(vl, axis=-1) * np.linalg.norm(vr, axis=-1))
+        if right.any():
+            raise NotConvex(
+                f"right turn at vertex t={t0[int(np.argmax(right))]}")
+
+    def on_segments(self, idx, t):
+        """u and u' at parameters t as on the segments idx, of t's shape;
+        the values on an arc are zero."""
+        du = self.slope[idx]
+        return self.p0[idx] + du * (t[..., None] - self.t0[idx][..., None]), du
+
+    @cached_property
+    def pieces(self):
+        """The pieces as Piece objects; segments are made from their rows."""
+        return tuple(self.arcs[i] if i in self.arcs
+                     else Segment(self.p0[i], self.p1[i], self.t0[i],
+                                  self.t1[i])
+                     for i in range(self.n_pieces))
 
     # -- parameter bookkeeping ----------------------------------------------
 
@@ -204,32 +289,37 @@ class UnitBall:
         """Index of the piece containing t (right piece at a vertex)."""
         t = self.reduce(t)
         idx = np.searchsorted(self.breaks, t, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+        return np.clip(idx, 0, self.n_pieces - 1)
 
     def antipodal(self, i):
-        return (i + self.n_half) % len(self.pieces)
+        return (i + self.n_half) % self.n_pieces
 
-    def dispatch(self, t, fns, tail=()):
-        """fns[i] on the parameters t that fall on piece i, trailing axes
-        tail (right piece at a vertex)."""
+    def dispatch(self, t, gather, fns):
+        """gather(idx, t) at parameters t, idx the piece of each, except
+        on the pieces i in fns, where fns[i] gives the values (right piece
+        at a vertex)."""
         t = self.reduce(t)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         idx = self.piece_index(t)
-        out = np.empty(t.shape + tail)
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = fns[i](t[sel])
+        out = gather(idx, t)
+        if fns:
+            for i in fns.keys() & set(np.unique(idx).tolist()):
+                sel = idx == i
+                out[sel] = fns[i](t[sel])
         return out[0] if scalar else out
 
     def point(self, t):
-        return self.dispatch(t, [p.point for p in self.pieces], (2,))
+        return self.dispatch(t, lambda idx, t: self.on_segments(idx, t)[0],
+                             {i: p.point for i, p in self.arcs.items()})
 
     def velocity(self, t):
-        return self.dispatch(t, [p.velocity for p in self.pieces], (2,))
+        return self.dispatch(t, lambda idx, t: self.slope[idx],
+                             {i: p.velocity for i, p in self.arcs.items()})
 
     def accel(self, t):
-        return self.dispatch(t, [p.accel for p in self.pieces], (2,))
+        return self.dispatch(t, lambda idx, t: np.zeros(t.shape + (2,)),
+                             {i: p.accel for i, p in self.arcs.items()})
 
     def dual(self, t):
         """Dual-ball point v(t) = u'(t) / [u(t), u'(t)]."""
@@ -240,35 +330,55 @@ class UnitBall:
             raise DegenerateDual("[u, u'] vanishes")
         return du / np.asarray(denom)[..., None]
 
-    def frame(self, quad, radii):
+    def frame(self, quad, fns, const=None):
         """The Frame of the panels the adaptive rule of quad accepts for
         r u'.
 
-        radii holds one callable per piece; a callable may return trailing
-        axes, several radii at once, and the panels then resolve all of
-        them.  Piece i and its antipode i + n share one panel layout, chosen
-        on both radii at once.  Frames are cached by layout, so curves whose
-        panels agree share one Frame object.
+        fns maps piece indices to radius callables, or is a list of one
+        callable per piece; const holds the constant radius of every other
+        piece (default zero).  A callable may return trailing axes, several
+        radii at once, and the panels then resolve all of them.  Piece i
+        and its antipode i + n share one panel layout, chosen on both radii
+        at once.  Frames are cached by layout, so curves whose panels agree
+        share one Frame object.
         """
         n, T = self.n_half, self.T
         starts = self.breaks[:n + 1]
+        if not isinstance(fns, dict):
+            fns = dict(enumerate(fns))
+        if const is None:
+            const = np.zeros(self.n_pieces)
+        # the first-half pieces evaluated one by one: arcs, and those with
+        # a callable radius on either half
+        slow = sorted({i for i in self.arcs if i < n} | {i % n for i in fns})
 
         def f(s):
             # the nodes of the open panels come in increasing order, so the
             # nodes on each piece form one slice
             cut = np.searchsorted(s, starts)
-            out = None
-            for i in np.flatnonzero(cut[1:] > cut[:-1]):
+            piece = np.repeat(np.arange(n), np.diff(cut))
+            r = np.stack([const[piece], const[piece + n]], axis=-1)
+            du = self.slope[piece]
+            g = r[..., None] * du[:, None]
+            for i in slow:
                 span = slice(cut[i], cut[i + 1])
                 si = s[span]
-                r = np.stack([radii[i](si), radii[i + n](si + T)], axis=-1)
-                du = self.pieces[i].velocity(si)
-                g = r[..., None] * du.reshape(
-                    (len(si),) + (1,) * (r.ndim - 1) + (2,))
-                if out is None:
-                    out = np.empty((len(s),) + g.shape[1:])
-                out[span] = g
-            return out
+                if not len(si):
+                    continue
+                ri = np.stack([fns[i](si) if i in fns else r[span, 0],
+                               fns[i + n](si + T) if i + n in fns
+                               else r[span, 1]], axis=-1)
+                dui = (self.arcs[i].velocity(si) if i in self.arcs
+                       else du[span])
+                gi = ri[..., None] * dui.reshape(
+                    (len(si),) + (1,) * (ri.ndim - 1) + (2,))
+                if gi.shape[1:] != g.shape[1:]:
+                    # radii with trailing axes; a constant is one on each
+                    g = np.broadcast_to(
+                        g.reshape((len(s),) + (1,) * (gi.ndim - 3) + (2, 2)),
+                        (len(s),) + gi.shape[1:]).copy()
+                g[span] = gi
+            return g
 
         leaves = []
         integrate(f, starts[:-1], starts[1:], quad, leaves=leaves)
@@ -297,109 +407,50 @@ class UnitBall:
     def area(self):
         """Enclosed area, A(U) = 1/2 * integral of [u, u']."""
         if self._own_frame is None:
-            self._own_frame = self.frame(DEFAULT_CONFIG,
-                                         [np.ones_like] * len(self.pieces))
+            self._own_frame = self.frame(DEFAULT_CONFIG, {},
+                                         np.ones(self.n_pieces))
         return self._own_frame.area
 
     def scaled(self, c):
         """The ball scaled by a positive factor about the origin."""
         if c <= 0:
             raise ValidationError("scale factor must be positive")
-        return build_ball([p.scaled(c) for p in self.pieces])
+        return UnitBall(self.t0, self.t1, c * self.p0, c * self.p1,
+                        {i: p.scaled(c) for i, p in self.arcs.items()})
 
 
 def build_ball(pieces, auto_symmetrize=False):
     """Validate pieces and assemble a UnitBall.
 
-    With auto_symmetrize, the given pieces cover only the first half period
-    and their antipodal copies are appended automatically.
+    pieces is the list of Pieces in order, or a polygon's (m, 2) array of
+    vertices, whose edge j from vertex j to vertex j + 1 is a segment on
+    [j, j + 1].  With auto_symmetrize, the given pieces cover only the
+    first half period and their antipodal copies are appended
+    automatically.
     """
-    pieces = list(pieces)
-    if not pieces:
+    if not isinstance(pieces, np.ndarray):
+        pieces = list(pieces)
+    if not len(pieces):
         raise ValidationError("no pieces")
+    if isinstance(pieces, np.ndarray):
+        p0 = np.array(pieces, dtype=float)
+        t0 = np.arange(len(p0), dtype=float)
+        t1, p1, arcs = t0 + 1.0, np.roll(p0, -1, axis=0), {}
+    else:
+        t0, t1 = np.array([(p.t0, p.t1) for p in pieces]).T
+        arcs = {i: p for i, p in enumerate(pieces) if p.kind != "segment"}
+        p0, p1 = np.zeros((2, len(pieces), 2))
+        for i, p in enumerate(pieces):
+            if i not in arcs:
+                p0[i], p1[i] = p.p0, p.p1
     if auto_symmetrize:
-        span = pieces[-1].t1 - pieces[0].t0
-        pieces = pieces + [p.negated_shifted(span) for p in pieces]
-    if len(pieces) % 2 != 0:
-        raise NotSymmetric(f"piece count {len(pieces)} is odd")
-
-    t0 = np.array([p.t0 for p in pieces])
-    t1 = np.array([p.t1 for p in pieces])
-    prev = np.concatenate([t0[:1], t1[:-1]])
-    bad = np.abs(t0 - prev) > 1e-12 * np.maximum(1.0, np.abs(prev))
-    if bad.any():
-        raise ValidationError(
-            f"pieces are not contiguous at t={prev[np.argmax(bad)]}")
-    breaks = np.concatenate([t0[:1], t1])
-    T = 0.5 * (breaks[-1] - breaks[0])
-    n = len(pieces) // 2
-
-    # sample each piece once, shape (pieces, nodes): the interior Gauss
-    # nodes plus both ends, exactly
-    x, _ = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)
-    ref = np.concatenate(([-1.0], x, [1.0]))
-    ts = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * ref
-    ts[:, 0], ts[:, -1] = t0, t1
-    u = np.stack([p.point(t) for p, t in zip(pieces, ts)])
-    du = np.stack([p.velocity(t) for p, t in zip(pieces, ts)])
-
-    diameter = 2.0 * float(np.max(np.linalg.norm(u, axis=-1)))
-    if diameter == 0:
-        raise ValidationError("degenerate ball")
-    eps_reg = 1e-9 * diameter
-    tol_geom = 1e-9 * diameter
-
-    slow = np.min(np.linalg.norm(du, axis=-1), axis=1) < eps_reg
-    inward = np.min(cross2(u, du), axis=1) <= eps_reg
-    bent = np.zeros(len(pieces), dtype=bool)
-    arcs = [i for i, p in enumerate(pieces) if p.kind == "arc"]
-    if arcs:
-        ddu = np.stack([pieces[i].accel(ts[i]) for i in arcs])
-        bent[arcs] = np.min(cross2(du[arcs], ddu), axis=1) <= 0
-    faulty = slow | inward | bent
-    if faulty.any():
-        i = int(np.argmax(faulty))
-        p = pieces[i]
-        if slow[i]:
-            raise DegeneratePiece(
-                f"u' vanishes on piece [{p.t0}, {p.t1}]")
-        if inward[i]:
-            raise NotConvex(
-                f"[u, u'] is not strictly positive on piece [{p.t0}, {p.t1}]"
-                " (origin not strictly inside or wrong orientation)")
-        raise NotConvex(
-            f"[u', u''] changes sign or vanishes on arc [{p.t0}, {p.t1}]")
-
-    # closure
-    gap = np.linalg.norm(u[-1, -1] - u[0, 0])
-    if gap > tol_geom:
-        raise NotClosed(f"boundary gap {gap:.3e} exceeds tolerance")
-
-    # antipodal pairing: intervals and values
-    tol_t = 1e-9 * max(1.0, T)
-    shifted = ((np.abs(t0[n:] - t0[:n] - T) > tol_t)
-               | (np.abs(t1[n:] - t1[:n] - T) > tol_t))
-    mismatch = np.max(np.linalg.norm(u[:n] + u[n:], axis=-1), axis=1)
-    unpaired = shifted | (mismatch > tol_geom)
-    if unpaired.any():
-        i = int(np.argmax(unpaired))
-        if shifted[i]:
-            raise NotSymmetric(
-                f"piece {i + n} interval is not piece {i} shifted by T")
-        raise NotSymmetric(
-            f"u(t+T) != -u(t) on piece {i} (error {mismatch[i]:.3e})")
-
-    # convexity across vertices: left/right tangents must turn left
-    vl = np.roll(du[:, -1], 1, axis=0)
-    vr = du[:, 0]
-    turn = cross2(vl, vr)
-    right = turn < -eps_reg * np.maximum(
-        1.0, np.linalg.norm(vl, axis=-1) * np.linalg.norm(vr, axis=-1))
-    if right.any():
-        raise NotConvex(
-            f"right turn at vertex t={pieces[int(np.argmax(right))].t0}")
-
-    return UnitBall(pieces, breaks, T, diameter)
+        span, k = float(t1[-1] - t0[0]), len(t0)
+        arcs.update([(i + k, p.negated_shifted(span))
+                     for i, p in arcs.items()])
+        t0 = np.concatenate([t0, t0 + span])
+        t1 = np.concatenate([t1, t1 + span])
+        p0, p1 = np.concatenate([p0, -p0]), np.concatenate([p1, -p1])
+    return UnitBall(t0, t1, p0, p1, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +463,14 @@ def _euclidean():
 
 
 def _square():
-    verts = [(1, -1), (1, 1), (-1, 1), (-1, -1)]
-    pieces = [Piece.segment(verts[i], verts[(i + 1) % 4], i, i + 1)
-              for i in range(4)]
-    return build_ball(pieces)
+    return build_ball(np.array([(1, -1), (1, 1), (-1, 1), (-1, -1)]))
 
 
 def _regular_2k_gon(k):
     if k < 2:
         raise ValidationError("regular_2k_gon needs k >= 2")
     ang = [np.pi * j / k for j in range(2 * k)]
-    verts = [(np.cos(a), np.sin(a)) for a in ang]
-    pieces = [Piece.segment(verts[j], verts[(j + 1) % (2 * k)], j, j + 1)
-              for j in range(2 * k)]
-    return build_ball(pieces)
+    return build_ball(np.array([(np.cos(a), np.sin(a)) for a in ang]))
 
 
 def _mixed_example():

@@ -11,6 +11,7 @@ integral of r u'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -46,6 +47,25 @@ def _sampler(i, fn):
                 f"radius of piece {i} is not finite at t={where:.17g}")
         return r
     return sample
+
+
+def _per_piece(radii, m):
+    """Radii given for m pieces as constants, zero on a piece with a
+    callable, and the callables by piece.  A constant that is not finite
+    stays a callable, which raises DomainError where it is sampled."""
+    if callable(radii) or isinstance(radii, (ex.Expr, str, int, float)):
+        radii = [radii] * m
+    if len(radii) != m:
+        raise ValueError(
+            f"need one radius per ball piece ({m}), got {len(radii)}")
+    fns = {i: _coerce_radius(r) for i, r in enumerate(radii)
+           if not isinstance(r, (int, float))}
+    const = np.array([0.0 if i in fns else r for i, r in enumerate(radii)],
+                     dtype=float)
+    finite = np.isfinite(const)
+    for i in np.flatnonzero(~finite).tolist():
+        fns[i] = _coerce_radius(float(const[i]))
+    return np.where(finite, const, 0.0), fns
 
 
 def _piece_radius(table, i):
@@ -132,8 +152,9 @@ class AdmissibleCurve:
 
     radii is one radius per ball piece, or a single one for all pieces: an
     Expr, expression text, a constant, a vectorized callable, or
-    NodeValues on a frame of quad.  quad is the quadrature rule of every
-    number the curve reports; curves derived from it keep it.
+    NodeValues on a frame of quad.  A 1-D float array holds one constant
+    per piece.  quad is the quadrature rule of every number the curve
+    reports; curves derived from it keep it.
     """
 
     def __init__(self, ball, radii, basepoint, quad=DEFAULT_CONFIG,
@@ -141,18 +162,15 @@ class AdmissibleCurve:
         self.ball = ball
         self.basepoint = np.asarray(basepoint, dtype=float)
         self.quad = quad
+        # the radius on each piece: a constant, or a callable in _fns
+        m = ball.n_pieces
         table = None
         if isinstance(radii, NodeValues):
             table = NodeTable(radii.frame, radii.values, self.basepoint)
-            radii = [_piece_radius(table, i) for i in range(len(ball.pieces))]
-        elif callable(radii) or isinstance(radii,
-                                           (ex.Expr, str, int, float)):
-            radii = [radii] * len(ball.pieces)
-        if len(radii) != len(ball.pieces):
-            raise ValueError(
-                f"need one radius per ball piece ({len(ball.pieces)}), "
-                f"got {len(radii)}")
-        self.radii = [_coerce_radius(r) for r in radii]
+            self._const = np.zeros(m)
+            self._fns = {i: _piece_radius(table, i) for i in range(m)}
+        else:
+            self._const, self._fns = _per_piece(radii, m)
         self._table = table or self._tabulate()
 
         self.closure_gap = self._table.gap
@@ -166,12 +184,21 @@ class AdmissibleCurve:
                     f"curve does not close: residual "
                     f"{self.closure_residual:.3e} > {tol_close:.3e}")
 
+    @cached_property
+    def radii(self):
+        """The radius of each piece as a vectorized callable."""
+        return [self._fns.get(i) or _coerce_radius(c)
+                for i, c in enumerate(self._const.tolist())]
+
     def _tabulate(self):
-        """The NodeTable on the panels that quad accepts for the radii."""
-        samplers = [_sampler(i, r) for i, r in enumerate(self.radii)]
-        frame = self.ball.frame(self.quad, samplers)
+        """The NodeTable on the panels that quad accepts for the radii:
+        the constants in one gather by piece, each callable on its panels.
+        """
+        samplers = {i: _sampler(i, fn) for i, fn in self._fns.items()}
+        frame = self.ball.frame(self.quad, samplers, self._const)
         r = np.empty(frame.t.shape)
-        for i, sample in enumerate(samplers):
+        r[...] = self._const[frame.piece][:, None]
+        for i, sample in samplers.items():
             span = slice(frame.first[i], frame.first[i + 1])
             r[span] = sample(frame.t[span])
         return NodeTable(frame, r, self.basepoint)
@@ -184,7 +211,8 @@ class AdmissibleCurve:
 
     def radius(self, t):
         """Curvature radius r(t), vectorized (right piece at vertices)."""
-        return self.ball.dispatch(t, self.radii)
+        return self.ball.dispatch(t, lambda idx, t: self._const[idx],
+                                  self._fns)
 
     def point(self, t):
         """gamma(t) = basepoint + integral of r u' from the start, read
@@ -207,8 +235,8 @@ class AdmissibleCurve:
     def sample_params(self, per_piece):
         """per_piece Gauss-Legendre nodes on every piece."""
         x, _ = gauss_legendre(per_piece)
-        return np.concatenate([0.5 * (p.t0 + p.t1) + 0.5 * (p.t1 - p.t0) * x
-                               for p in self.ball.pieces])
+        t0, t1 = self.ball.t0[:, None], self.ball.t1[:, None]
+        return (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x).ravel()
 
     # -- algebra ------------------------------------------------------------
 
@@ -259,9 +287,9 @@ def curve_from_explicit(ball, pieces, quad=DEFAULT_CONFIG):
     extracted by projecting gamma' on u'; if gamma' is not parallel to u'
     within 1e-8 (relative), the curve is rejected.
     """
-    if len(pieces) != len(ball.pieces):
+    if len(pieces) != ball.n_pieces:
         raise ValueError(
-            f"need one (x, y) pair per ball piece ({len(ball.pieces)})")
+            f"need one (x, y) pair per ball piece ({ball.n_pieces})")
     radii = []
     x, _ = gauss_legendre(quad.nodes_per_panel)
     for bp, (x_expr, y_expr) in zip(ball.pieces, pieces):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ball import Piece, build_ball, cross2
+from .ball import build_ball, cross2
 from .curve import AdmissibleCurve, is_convex
 from .decomp import decompose
 from .errors import (DegenerateIntersection, EmbeddingFailed,
@@ -113,6 +113,15 @@ class Polygon:
         if np.any(turns <= 0):
             raise ValidationError(
                 "vertices are not in strictly convex CCW position")
+
+    def __eq__(self, other):
+        if not isinstance(other, Polygon):
+            return NotImplemented
+        return np.array_equal(self.vertices, other.vertices)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.vertices + 0.0).tobytes())
 
     @property
     def edges(self):
@@ -218,13 +227,9 @@ def symmetrize_polygon(K1):
 
 def polygon_ball(P):
     """A symmetric polygon as a unit ball, one unit parameter per edge."""
-    verts = P.vertices
-    m = len(verts)
-    if m % 2 != 0:
+    if len(P.vertices) % 2 != 0:
         raise ValidationError("polygonal ball needs an even vertex count")
-    pieces = [Piece.segment(verts[j], verts[(j + 1) % m], j, j + 1)
-              for j in range(m)]
-    return build_ball(pieces)
+    return build_ball(P.vertices)
 
 
 @dataclass
@@ -285,7 +290,7 @@ def embed_polygon(K, ball_poly, ball=None):
     # does; a run of merged edges may wrap past the end of the list
     first = match == match.min()
     start = int(np.argmax(first & ~np.roll(first, 1)))
-    return AdmissibleCurve(ball, radii.tolist(), K.vertices[start])
+    return AdmissibleCurve(ball, radii, K.vertices[start])
 
 
 def lhuilier_check(K):

@@ -75,7 +75,7 @@ def curve_from_doc(doc, quad=DEFAULT_CONFIG):
         pieces = [(pd["x"], pd["y"]) for pd in doc["explicit"]]
         return curve_from_explicit(ball, pieces, quad=quad)
     entries = doc["radius"]
-    radii = [None] * len(ball.pieces)
+    radii = [None] * ball.n_pieces
     for k, entry in enumerate(entries):
         if isinstance(entry, dict):
             radii[int(entry.get("piece", k))] = entry["expr"]

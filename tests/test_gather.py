@@ -1,0 +1,189 @@
+"""Segment pieces and constant radii are evaluated in one gather by piece.
+Here every value they reach is checked, bit for bit, against a per-piece
+reference: each piece's own point and velocity, each radius as its own
+callable, called on the parameters of that piece alone."""
+
+import copy
+import re
+
+import numpy as np
+import pytest
+
+from normplane import (AdmissibleCurve, builtin_ball,
+                       circumscribed_parallel_polygon, cross2,
+                       curve_from_radius, embed_polygon, polygon_ball,
+                       symmetrize_polygon)
+from normplane.corpus import random_convex_polygon
+from normplane.curve import NodeTable, _sampler
+from normplane.errors import DomainError
+from normplane.quadrature import DEFAULT_CONFIG, integrate
+
+from conftest import EXAMPLE22_RADII
+
+BUILTINS = ([("square", {}), ("euclidean", {}), ("mixed_example21", {})]
+            + [("regular_2k_gon", {"k": k}) for k in range(2, 9)])
+
+
+def _constant(c):
+    return lambda t: np.full(np.shape(t), c)
+
+
+# -- the reference ----------------------------------------------------------
+
+def ref_leaves(ball, radii):
+    """The panels the adaptive rule accepts for r u' on the first half
+    period, the integrand evaluated piece by piece."""
+    n, T = ball.n_half, ball.T
+
+    def f(s):
+        cut = np.searchsorted(s, ball.breaks[:n + 1])
+        out = np.empty((len(s), 2, 2))
+        for i in range(n):
+            si = s[cut[i]:cut[i + 1]]
+            r = np.stack([radii[i](si), radii[i + n](si + T)], axis=-1)
+            out[cut[i]:cut[i + 1]] = (r[..., None]
+                                      * ball.pieces[i].velocity(si)[:, None])
+        return out
+
+    leaves = []
+    integrate(f, ball.breaks[:n], ball.breaks[1:n + 1], DEFAULT_CONFIG,
+              leaves=leaves)
+    return tuple(leaves)
+
+
+def ref_frame(ball, frame):
+    """u and u' at the frame's nodes and u at its panel starts, one piece
+    at a time."""
+    u = np.full(frame.t.shape + (2,), np.nan)
+    du = np.full(frame.t.shape + (2,), np.nan)
+    u_lo = np.full(frame.lo.shape + (2,), np.nan)
+    for i, p in enumerate(ball.pieces):
+        on = frame.piece == i
+        u[on], du[on] = p.point(frame.t[on]), p.velocity(frame.t[on])
+        u_lo[on] = p.point(frame.lo[on])
+    return u, du, u_lo
+
+
+def ref_table(curve, radii):
+    """The curve's radius at its frame's nodes, piece by piece, and its
+    points from those radii and the reference u'."""
+    frame = curve.table().frame
+    r = np.full(frame.t.shape, np.nan)
+    for i, fn in enumerate(radii):
+        on = frame.piece == i
+        r[on] = _sampler(i, fn)(frame.t[on])
+    ref = copy.copy(frame)
+    ref.du = ref_frame(curve.ball, frame)[1]
+    return r, NodeTable(ref, r, curve.basepoint).gamma
+
+
+def piece_params(ball, rng):
+    """Parameters with the piece each lies on: every piece's start (a
+    vertex, where the piece to its right holds) and two interior points,
+    also shifted by +-2T."""
+    t, idx = [], []
+    for j in range(ball.n_pieces):
+        t0, t1 = ball.t0[j], ball.t1[j]
+        own = np.concatenate([[t0], t0 + (t1 - t0) * rng.uniform(size=2)])
+        for shift in (0.0, 2 * ball.T, -2 * ball.T):
+            t.append(own + shift)
+            idx.append(np.full(3, j))
+    return np.concatenate(t), np.concatenate(idx)
+
+
+def assert_matches_reference(curve, radii, rng):
+    """Every gathered value of curve, whose radii as per-piece callables
+    are radii, equals the reference bit for bit."""
+    ball = curve.ball
+    frame = curve.table().frame
+    assert frame.leaves == ref_leaves(ball, radii)
+    u, du, u_lo = ref_frame(ball, frame)
+    np.testing.assert_array_equal(frame.u, u)
+    np.testing.assert_array_equal(frame.du, du)
+    np.testing.assert_array_equal(frame.u_lo, u_lo)
+    np.testing.assert_array_equal(frame.cross, cross2(u, du))
+    r, gamma = ref_table(curve, radii)
+    np.testing.assert_array_equal(curve.table().r, r)
+    np.testing.assert_array_equal(curve.table().gamma, gamma)
+
+    t, idx = piece_params(ball, rng)
+    t_red = ball.reduce(t)
+    for name in ("point", "velocity", "accel"):
+        want = np.empty(t.shape + (2,))
+        for j in np.unique(idx):
+            on = idx == j
+            want[on] = getattr(ball.pieces[j], name)(t_red[on])
+        np.testing.assert_array_equal(getattr(ball, name)(t), want)
+        np.testing.assert_array_equal(getattr(ball, name)(np.array(t[0])),
+                                      want[0])
+    want = np.empty(t.shape)
+    for j in np.unique(idx):
+        on = idx == j
+        want[on] = radii[j](t_red[on])
+    np.testing.assert_array_equal(curve.radius(t), want)
+
+
+# -- builtin balls: segments, arcs and both in one ball ---------------------
+
+@pytest.mark.parametrize("name, params", BUILTINS,
+                         ids=[f"{n}{p.get('k', '')}" for n, p in BUILTINS])
+def test_builtin_balls_match_the_per_piece_reference(name, params):
+    ball = builtin_ball(name, **params)
+    rng = np.random.default_rng(len(name) + params.get("k", 0))
+    radii = rng.uniform(0.5, 2.0, size=ball.n_pieces)
+    curve = AdmissibleCurve(ball, radii, (0.3, -0.2), check_closure=False)
+    assert_matches_reference(curve, [_constant(c) for c in radii], rng)
+    # a callable on each first-half piece and a constant on its antipode,
+    # so large that it sets the tolerance of the panels they share
+    n = ball.n_half
+    mixed = [(lambda t, c=c: c + 0.25 * np.sin(150.0 * t))
+             for c in radii[:n]]
+    mixed += list(1e9 * radii[n:])
+    want = mixed[:n] + [_constant(c) for c in mixed[n:]]
+    curve = AdmissibleCurve(ball, mixed, (0.3, -0.2), check_closure=False)
+    assert_matches_reference(curve, want, rng)
+
+
+def test_example22_with_numeric_radii_matches_the_reference(example22):
+    radii = [1, EXAMPLE22_RADII[1], 4.0, EXAMPLE22_RADII[3]]
+    curve = curve_from_radius(example22.ball, radii, basepoint=(2, 1))
+    assert_matches_reference(curve, example22.radii,
+                             np.random.default_rng(22))
+    np.testing.assert_array_equal(curve.table().gamma,
+                                  example22.table().gamma)
+
+
+# -- the balls of the Lhuilier construction ----------------------------------
+
+def test_polygon_balls_match_the_per_piece_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        K = random_convex_polygon(rng, int(rng.integers(5, 49)))
+        K1_0 = symmetrize_polygon(circumscribed_parallel_polygon(K))
+        ball = polygon_ball(K1_0)
+        gamma = embed_polygon(K, K1_0, ball=ball)
+        radii = gamma.radius(ball.t0)
+        assert_matches_reference(gamma, [_constant(c) for c in radii], rng)
+        # the same radii as callables give the same table
+        same = AdmissibleCurve(ball, [_constant(c) for c in radii],
+                               gamma.basepoint)
+        assert same.table().frame is gamma.table().frame
+        np.testing.assert_array_equal(same.table().r, gamma.table().r)
+        np.testing.assert_array_equal(same.table().gamma,
+                                      gamma.table().gamma)
+
+
+# -- constants that are not finite --------------------------------------------
+
+@pytest.mark.parametrize("radii, message", [
+    ([1, np.nan, 1, 1],
+     "radius of piece 1 is not finite at t=1.0013680690752591"),
+    ([1, 1, np.inf, 1],
+     "radius of piece 2 is not finite at t=2.0013680690752591"),
+    (np.array([1, 1, np.inf, 1]),
+     "radius of piece 2 is not finite at t=2.0013680690752591"),
+])
+def test_non_finite_constant_radius_names_piece_and_parameter(square, radii,
+                                                              message):
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        curve_from_radius(square, radii)

@@ -83,6 +83,27 @@ class TestPolygon:
         with pytest.raises(ValidationError):
             Polygon([(0, 0), (1, 0), (2, 0), (0, 1)])
 
+    def test_equal_vertices_are_equal_polygons(self):
+        v = np.array([(0, 0), (2, 0), (0.5, 1.5)])
+        P, Q = Polygon(v), Polygon(v.copy())
+        assert P == Q and not P != Q
+        assert Polygon(v + 0.5) != P
+        # -0.0 == 0.0, so their hashes agree too
+        assert Polygon(np.where(v == 0, -0.0, v)) == P
+
+    def test_hash_is_consistent_with_equality(self):
+        v = np.array([(0, 0), (2, 0), (0.5, 1.5)])
+        P = Polygon(v)
+        assert hash(P) == hash(Polygon(v.copy()))
+        assert hash(Polygon(np.where(v == 0, -0.0, v))) == hash(P)
+        assert len({P, Polygon(v.copy()), Polygon(v + 0.5)}) == 2
+
+    def test_polygons_of_different_shapes_are_unequal(self):
+        tri = Polygon([(0, 0), (2, 0), (0.5, 1.5)])
+        square = Polygon([(1, -1), (1, 1), (-1, 1), (-1, -1)])
+        assert tri != square and not tri == square
+        assert tri != tri.vertices.tolist()
+
     def test_area_and_normals(self):
         P = Polygon([(1, -1), (1, 1), (-1, 1), (-1, -1)])
         assert P.area == pytest.approx(4.0)
