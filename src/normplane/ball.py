@@ -26,6 +26,12 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def following(a):
+    """a[i + 1] at every i, cyclically along the first axis: the values of
+    np.roll(a, -1, axis=0) at a fraction of its cost."""
+    return np.concatenate([a[1:], a[:1]])
+
+
 def _interval(t0, t1):
     if not t0 < t1:
         raise ValidationError(f"piece interval [{t0}, {t1}] is empty")
@@ -48,13 +54,9 @@ class Piece:
 
     @classmethod
     def arc(cls, x_expr, y_expr, t0, t1):
-        """The arc (x_expr, y_expr), parsed, differentiated twice and
-        compiled once."""
-        fns = []
-        for e in (ex.as_expr(x_expr), ex.as_expr(y_expr)):
-            de = ex.differentiate(e)
-            fns.append([ex.compile_fn(f)
-                        for f in (e, de, ex.differentiate(de))])
+        """The arc (x_expr, y_expr) with its two derivatives, each
+        compiled once per text (expressions.compiled)."""
+        fns = [[ex.compiled(e, k) for k in range(3)] for e in (x_expr, y_expr)]
         return cls(*map(_stacked, *fns), t0, t1)
 
     @staticmethod
@@ -255,7 +257,7 @@ class UnitBall:
                 f"u(t+T) != -u(t) on piece {i} (error {mismatch[i]:.3e})")
 
         # convexity across vertices: left/right tangents must turn left
-        vl = np.roll(du[:, -1], 1, axis=0)
+        vl = np.concatenate([du[-1:, -1], du[:-1, -1]])
         vr = du[:, 0]
         turn = cross2(vl, vr)
         right = turn < -eps_reg * np.maximum(
@@ -435,7 +437,7 @@ def build_ball(pieces, auto_symmetrize=False):
     if isinstance(pieces, np.ndarray):
         p0 = np.array(pieces, dtype=float)
         t0 = np.arange(len(p0), dtype=float)
-        t1, p1, arcs = t0 + 1.0, np.roll(p0, -1, axis=0), {}
+        t1, p1, arcs = t0 + 1.0, following(p0), {}
     else:
         t0, t1 = np.array([(p.t0, p.t1) for p in pieces]).T
         arcs = {i: p for i, p in enumerate(pieces) if p.kind != "segment"}

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import jsonio, svg
-from .curve import is_convex
+from .curve import is_convex, stacked_points
 from .decomp import decompose as decompose_curve
 from .errors import NormPlaneError, ValidationError
 from .inequalities import iso_ledger, lhuilier_check
@@ -120,14 +120,14 @@ def decompose(curve_path, out_dir, want_svg):
         ts = np.linspace(curve.ball.t_start,
                          curve.ball.t_start + 2 * curve.ball.T, 512,
                          endpoint=False)[:512 if want_svg else 128]
-        wc, cw = dec.wc.point(ts), dec.cwms.point(ts)
+        g, wc, cw = stacked_points([curve, dec.wc, dec.cwms], ts)
         report = dec.to_dict()
         report["wc_samples"] = wc[:128]
         report["cwms_samples"] = cw[:128]
         _emit(report, out_dir, "decomposition.json")
         if want_svg:
             layers = [
-                svg.Layer("curve", curve.point(ts), "black"),
+                svg.Layer("curve", g, "black"),
                 svg.Layer("unit ball", curve.ball.point(ts), "gray"),
                 svg.Layer("dual samples", curve.ball.dual(ts + 1e-6),
                           "goldenrod", closed=False, width=0.8),

@@ -32,7 +32,7 @@ def _coerce_radius(obj):
     if isinstance(obj, (int, float)):
         c = float(obj)
         return lambda t: np.full(np.shape(t), c)
-    return ex.compile_fn(ex.as_expr(obj))
+    return ex.compiled(obj, 0)
 
 
 def _sampler(i, fn):
@@ -91,19 +91,31 @@ class NodeTable:
     """
 
     def __init__(self, frame, r, basepoint):
-        L, M, C = legendre_operators(frame.n)
         self.frame = frame
         self.r = r
         g = r[..., None] * frame.du
-        half = frame.half[:, None, None]
         ends = basepoint + np.cumsum(
             np.einsum("pk,pkd->pd", frame.weights, g), axis=0)
         self.start = np.concatenate([[basepoint], ends[:-1]])
         self.gap = ends[-1] - basepoint
-        self.gamma = self.start[:, None] + half * (C @ g)
-        self._gamma_coef = half * (M @ g)
-        self._gamma_coef[:, 0] += self.start
-        self._r_coef = r @ L.T
+        C = legendre_operators(frame.n)[2]
+        self.gamma = self.start[:, None] + frame.half[:, None, None] * (C @ g)
+
+    # the series are built on first use: the Lhuilier check reads neither
+
+    @cached_property
+    def _gamma_coef(self):
+        """Legendre coefficients of gamma per panel, shape (P, n + 1, 2)."""
+        f = self.frame
+        g = self.r[..., None] * f.du
+        coef = f.half[:, None, None] * (legendre_operators(f.n)[1] @ g)
+        coef[:, 0] += self.start
+        return coef
+
+    @cached_property
+    def _r_coef(self):
+        """Legendre coefficients of r per panel, shape (P, n)."""
+        return self.r @ legendre_operators(self.frame.n)[0].T
 
     def _series(self, coef, t, piece=None):
         """Sum over k of coef[p, k] P_k(x) at reduced parameters t (1-D)."""
@@ -270,6 +282,19 @@ def pointwise_sum(c1, c2):
                        c1.basepoint + c2.basepoint)
 
 
+def stacked_points(curves, t):
+    """gamma of every curve at parameters t, shape (len(curves),) + t.shape
+    + (2,), each equal to its point(t).  The curves share one Frame, so
+    one panel search and one Legendre basis serve them all."""
+    tables = [c.table() for c in curves]
+    if any(tb.frame is not tables[0].frame for tb in tables):
+        raise ValueError("curves must share a Frame")
+    t = curves[0].ball.reduce(t)
+    coef = np.stack([tb._gamma_coef for tb in tables], axis=2)
+    out = tables[0]._series(coef, t.ravel())
+    return np.moveaxis(out, 1, 0).reshape((len(curves),) + t.shape + (2,))
+
+
 def curve_from_radius(ball, radius, basepoint=(0.0, 0.0),
                       quad=DEFAULT_CONFIG):
     """Build a closed admissible curve from its curvature-radius function.
@@ -293,8 +318,7 @@ def curve_from_explicit(ball, pieces, quad=DEFAULT_CONFIG):
     radii = []
     x, _ = gauss_legendre(quad.nodes_per_panel)
     for bp, (x_expr, y_expr) in zip(ball.pieces, pieces):
-        dx = ex.compile_fn(ex.differentiate(ex.as_expr(x_expr)))
-        dy = ex.compile_fn(ex.differentiate(ex.as_expr(y_expr)))
+        dx, dy = ex.compiled(x_expr, 1), ex.compiled(y_expr, 1)
 
         def r_fn(t, dx=dx, dy=dy, bp=bp):
             g = np.stack([dx(t), dy(t)], axis=-1)
@@ -314,11 +338,8 @@ def curve_from_explicit(ball, pieces, quad=DEFAULT_CONFIG):
                 f"gamma' is not parallel to u' near t={worst:.6g}")
         radii.append(r_fn)
 
-    first = ball.pieces[0]
-    fx = ex.compile_fn(ex.as_expr(pieces[0][0]))
-    fy = ex.compile_fn(ex.as_expr(pieces[0][1]))
-    basepoint = np.array([float(fx(np.array(first.t0))),
-                          float(fy(np.array(first.t0)))])
+    t0 = np.array(ball.pieces[0].t0)
+    basepoint = np.array([float(ex.compiled(e, 0)(t0)) for e in pieces[0]])
     return AdmissibleCurve(ball, radii, basepoint, quad=quad)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -456,6 +457,32 @@ def compile_fn(e):
         return out
 
     return fn
+
+
+# sources whose parse and compiled derivatives are kept; the least
+# recently used is dropped first
+MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parsed(text):
+    return parse(text)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def compiled(source, order):
+    """compile_fn of the order-th derivative of source, expression text or
+    an Expr.
+
+    Memoised by (source, order): compile_fn runs only on a pair that is not
+    among the MEMO_SIZE most recently used, and a text is parsed once for
+    all its orders.  The callables are pure, so callers share them.  An
+    error is raised again on every call; none is kept.
+    """
+    e = _parsed(source) if isinstance(source, str) else as_expr(source)
+    for _ in range(order):
+        e = differentiate(e)
+    return compile_fn(e)
 
 
 def as_expr(obj):

@@ -14,10 +14,11 @@ isoperimetric inequality of the normed plane.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .ball import build_ball, cross2
+from .ball import build_ball, cross2, following
 from .curve import AdmissibleCurve, is_convex
 from .decomp import decompose
 from .errors import (DegenerateIntersection, EmbeddingFailed,
@@ -108,8 +109,7 @@ class Polygon:
             raise ValidationError("polygon needs at least 3 vertices")
         if self.unit_normals is not None:
             return
-        edges = np.roll(verts, -1, axis=0) - verts
-        turns = cross2(edges, np.roll(edges, -1, axis=0))
+        turns = cross2(self.edges, following(self.edges))
         if np.any(turns <= 0):
             raise ValidationError(
                 "vertices are not in strictly convex CCW position")
@@ -123,9 +123,9 @@ class Polygon:
         # + 0.0 turns -0.0 into 0.0, which compares equal to it
         return hash((self.vertices + 0.0).tobytes())
 
-    @property
+    @cached_property
     def edges(self):
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return following(self.vertices) - self.vertices
 
     @property
     def normals(self):
@@ -161,7 +161,7 @@ def _tangent_polygon(normals):
     if np.any(gaps >= np.pi - 1e-12):
         raise DegenerateIntersection(
             "normals leave a half-plane uncovered; intersection is unbounded")
-    nxt = np.roll(normals, -1, axis=0)
+    nxt = following(normals)
     det = cross2(normals, nxt)
     flat = np.abs(det) < 1e-14
     if flat.any():
@@ -289,7 +289,7 @@ def embed_polygon(K, ball_poly, ball=None):
     # the curve starts where the first K edge on the first matched piece
     # does; a run of merged edges may wrap past the end of the list
     first = match == match.min()
-    start = int(np.argmax(first & ~np.roll(first, 1)))
+    start = int(np.argmax(first & ~np.concatenate([first[-1:], first[:-1]])))
     return AdmissibleCurve(ball, radii, K.vertices[start])
 
 

@@ -26,6 +26,7 @@ Polygon document::
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -100,6 +101,8 @@ def load_polygon(doc_or_path):
 
 
 _FMT12 = "{:.12g}".format
+# json's spellings of the floats that float.__repr__ writes otherwise
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _round12(x):
@@ -131,5 +134,63 @@ def clean(obj):
     return obj
 
 
+def _template(shape, pad):
+    """The indented layout of a float array of shape at indentation pad,
+    with a %s for each value in C order."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    rows = (",\n" + inner).join([_template(shape[1:], inner)] * shape[0])
+    return "[\n" + inner + rows + "\n" + pad + "]"
+
+
+def _text(obj, pad):
+    """The text of clean(obj) in json.dumps(..., indent=2, sort_keys=True)
+    at indentation pad.  A float array is rounded in one pass and laid out
+    by its shape's template; strings and numbers are written as json
+    writes them."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (float, np.floating)):
+        text = float.__repr__(_round12(float(obj)))
+        return _JSON_FLOAT.get(text, text)
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f":
+            return _text(obj.tolist(), pad)
+        text = map(float.__repr__,
+                   map(float, map(_FMT12, obj.ravel().tolist())))
+        if not np.isfinite(obj).all():
+            text = [_JSON_FLOAT.get(s, s) for s in text]
+        return _template(obj.shape, pad) % tuple(text)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_text(v, inner) for v in obj]
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        items = [encode_basestring_ascii(k) + ": " + _text(obj[k], inner)
+                 for k in sorted(obj)]
+    else:
+        # other keys and types: json's own conversions and errors; its
+        # strings hold no raw newline, so every newline starts a line
+        return json.dumps(clean(obj), indent=2, sort_keys=True).replace(
+            "\n", "\n" + pad)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return ends
+    return (ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + pad + ends[1])
+
+
 def dump_report(obj):
-    return json.dumps(clean(obj), indent=2, sort_keys=True)
+    """json.dumps(clean(obj), indent=2, sort_keys=True), written without
+    json's pure-Python indenting encoder."""
+    return _text(obj, "")

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ball import cross2
+from .ball import cross2, following
 from .errors import MismatchedBalls
 
 
@@ -112,7 +112,7 @@ def shoelace_area(points):
     """Signed polygon area of an ordered point list (shoelace formula)."""
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * following(y) - following(x) * y))
 
 
 def polygonal_area(curve, n_points=100_000):

@@ -11,7 +11,6 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 _FMT = "{:.9g}"
-_PAIR = "{:.9g},{:.9g}".format
 
 
 def _f(x):
@@ -50,16 +49,19 @@ def render(layers, size=640, margin=40, title=None):
                    f'font-size="14">{escape(title)}</text>')
     for ly in layers:
         # one expression per axis; y flipped, as SVG grows downward
-        xs = (mid + (ly.points[:, 0] - cx) * scale).tolist()
-        ys = (mid - (ly.points[:, 1] - cy) * scale).tolist()
-        if ly.marker or len(xs) == 1 or (
-                len(xs) > 1
+        px = np.empty(ly.points.shape)
+        px[:, 0] = mid + (ly.points[:, 0] - cx) * scale
+        px[:, 1] = mid - (ly.points[:, 1] - cy) * scale
+        n = len(px)
+        if ly.marker or n == 1 or (
+                n > 1
                 and float(np.max(np.ptp(ly.points, axis=0))) < 1e-9 * span):
-            out.append(f'<circle cx="{_f(xs[0])}" cy="{_f(ys[0])}" r="4" '
-                       f'fill="{ly.color}"><title>{escape(ly.label)}'
+            out.append(f'<circle cx="{_f(px[0, 0])}" cy="{_f(px[0, 1])}" '
+                       f'r="4" fill="{ly.color}"><title>{escape(ly.label)}'
                        '</title></circle>')
         else:
-            coords = " ".join(map(_PAIR, xs, ys))
+            # one %-format over the interleaved coordinates
+            coords = " ".join(["%.9g,%.9g"] * n) % tuple(px.ravel().tolist())
             tag = "polygon" if ly.closed else "polyline"
             out.append(f'<{tag} points="{coords}" fill="none" '
                        f'stroke="{ly.color}" stroke-width="{ly.width}">'

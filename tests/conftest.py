@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from normplane import builtin_ball, curve_from_radius
+from normplane import builtin_ball, curve_from_radius, expressions
 
 EXAMPLE22_RADII = [
     "1",
@@ -62,3 +62,11 @@ def rectangle(square):
 
 def rect_curve(square, a, b):
     return curve_from_radius(square, [b, a, b, a], basepoint=(a, -b))
+
+
+@pytest.fixture(autouse=True)
+def fresh_expression_memo():
+    """Each test starts with empty expression memos, so the compiles a test
+    counts do not depend on the tests run before it."""
+    expressions.compiled.cache_clear()
+    expressions._parsed.cache_clear()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from normplane import expressions as ex
 from normplane import (builtin_ball, convexifying_shift, curve_from_explicit,
-                       curve_from_radius, is_convex, pointwise_sum,
+                       curve_from_radius, is_convex, jsonio, pointwise_sum,
                        shifted_by_ball)
 from normplane.errors import NotAdmissible, NotClosed
 
@@ -70,6 +71,23 @@ class TestFromExplicit:
         curve = curve_from_explicit(mixed, pieces)
         ts = curve.sample_params(16)
         np.testing.assert_allclose(curve.radius(ts), 3.0, atol=1e-10)
+
+    def test_second_load_compiles_nothing(self, mixed, monkeypatch):
+        # the mixed fixture has built the ball and compiled its arc
+        calls = []
+        compile_fn = ex.compile_fn
+        monkeypatch.setattr(ex, "compile_fn",
+                            lambda e: calls.append(e) or compile_fn(e))
+        doc = {"ball": "mixed_example21",
+               "explicit": [{"x": x, "y": y} for x, y in EXAMPLE22_EXPLICIT]}
+        first = jsonio.curve_from_doc(doc)
+        # x' and y' of every piece, and x and y of the first
+        assert len(calls) == 2 * 4 + 2
+        second = jsonio.curve_from_doc(doc)
+        assert len(calls) == 2 * 4 + 2
+        np.testing.assert_array_equal(second.table().gamma,
+                                      first.table().gamma)
+        np.testing.assert_array_equal(second.basepoint, [2, 1])
 
     def test_rotated_square_not_admissible(self, square):
         # rotate the square by 30 degrees: sides no longer parallel to u'

@@ -201,3 +201,40 @@ def test_compile_matches_evaluate():
     ts = np.linspace(1, 2, 11)
     want = np.array([ex.evaluate(e, t) for t in ts])
     np.testing.assert_allclose(f(ts), want, rtol=1e-15)
+
+
+class TestCompiledMemo:
+    def test_one_compile_per_text_and_order(self, monkeypatch):
+        calls = []
+        compile_fn = ex.compile_fn
+        monkeypatch.setattr(ex, "compile_fn",
+                            lambda e: calls.append(e) or compile_fn(e))
+        parses = []
+        parse = ex.parse
+        monkeypatch.setattr(ex, "parse",
+                            lambda text: parses.append(text) or parse(text))
+        text = "sin(pi/2*t)^2"
+        fns = [ex.compiled(text, k) for k in range(3)]
+        assert [ex.compiled(text, k) for k in range(3)] == fns
+        assert len(calls) == 3 and parses == [text]
+        ts = np.linspace(0.1, 0.9, 7)
+        want = [ex.parse(text)]
+        want += [ex.differentiate(want[0]), ex.differentiate(
+            ex.differentiate(want[0]))]
+        for f, e in zip(fns, want):
+            np.testing.assert_array_equal(f(ts), compile_fn(e)(ts))
+
+    @pytest.mark.parametrize("text", ["1+*t", "sin(t", "foo(t)"])
+    def test_errors_are_raised_on_every_call(self, text):
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                ex.compiled(text, 0)
+        assert ex.compiled.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        assert ex.compiled.cache_info().maxsize == ex.MEMO_SIZE
+        assert ex._parsed.cache_info().maxsize == ex.MEMO_SIZE
+        for k in range(ex.MEMO_SIZE + 20):
+            ex.compiled(f"{k}+t", 0)
+        assert ex.compiled.cache_info().currsize == ex.MEMO_SIZE
+        assert ex._parsed.cache_info().currsize == ex.MEMO_SIZE

@@ -5,6 +5,7 @@ from normplane import (Polygon, circumscribed_parallel_polygon,
                        curve_from_radius, embed_polygon, iso_ledger,
                        lhuilier_check, minkowski_gap, polygon_ball,
                        symmetrize_polygon)
+from normplane.ball import following
 from normplane.corpus import (random_convex_curve, random_convex_polygon,
                               random_symmetric_convex_polygon)
 from normplane.errors import (DegenerateIntersection, NotConvexInput,
@@ -82,6 +83,20 @@ class TestPolygon:
             Polygon([(0, 0), (0, 1), (1, 0)])
         with pytest.raises(ValidationError):
             Polygon([(0, 0), (1, 0), (2, 0), (0, 1)])
+
+    def test_edges_are_computed_once_without_roll(self, monkeypatch):
+        v = np.random.default_rng(5).normal(size=(9, 2))
+        for a in (v, v[:, 0], v[:1]):
+            assert np.array_equal(following(a), np.roll(a, -1, axis=0))
+
+        def no_roll(*args, **kwargs):
+            raise AssertionError("np.roll on the Lhuilier path")
+
+        monkeypatch.setattr(np, "roll", no_roll)
+        K = random_convex_polygon(np.random.default_rng(6), 7)
+        assert K.edges is K.edges
+        report = lhuilier_check(K)
+        assert report.gap > 0
 
     def test_equal_vertices_are_equal_polygons(self):
         v = np.array([(0, 0), (2, 0), (0.5, 1.5)])

@@ -14,8 +14,10 @@ from normplane import (QuadratureConfig, builtin_ball, convexifying_shift,
                        mixed_area, pointwise_sum, shifted_by_ball,
                        signed_area, support_value, wigner_caustic)
 from normplane.corpus import random_convex_curve
+from normplane.curve import NodeTable
 from normplane.errors import DomainError
-from normplane.quadrature import gauss_legendre, integrate
+from normplane.inequalities import Polygon, lhuilier_check
+from normplane.quadrature import gauss_legendre, integrate, legendre_operators
 
 ORACLE_BALLS = {
     "euclidean": {}, "square": {}, "regular_2k_gon": {"k": 3},
@@ -229,3 +231,27 @@ def test_is_convex_reads_the_panel_ends(euclidean):
     res = is_convex(curve)
     assert not res.convex and abs(res.witness - 0.5) < 1e-2
     assert convexifying_shift(curve) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_series_are_built_on_first_use(mixed, monkeypatch):
+    curve = curve_from_radius(mixed, EXAMPLE22_RADII, basepoint=(2, 1))
+    table = curve.table()
+    assert not {"_gamma_coef", "_r_coef"} & set(vars(table))
+    # the formulas the table held before its series became lazy
+    f = table.frame
+    L, M, C = legendre_operators(f.n)
+    g = table.r[..., None] * f.du
+    half = f.half[:, None, None]
+    assert np.array_equal(table.gamma, table.start[:, None] + half * (C @ g))
+    coef = half * (M @ g)
+    coef[:, 0] += table.start
+    assert np.array_equal(table._gamma_coef, coef)
+    assert np.array_equal(table._r_coef, table.r @ L.T)
+
+    def unread(self):
+        raise AssertionError("the Lhuilier check read a Legendre series")
+
+    monkeypatch.setattr(NodeTable, "_gamma_coef", property(unread))
+    monkeypatch.setattr(NodeTable, "_r_coef", property(unread))
+    report = lhuilier_check(Polygon(np.array([[0, 0], [2, 0], [0, 1.0]])))
+    assert report.gap > 0

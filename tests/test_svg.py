@@ -137,28 +137,33 @@ class TestRender:
         assert text.endswith("</svg>\n")
 
 
+def special_object():
+    """Every kind of value a report can hold, special floats included."""
+    rng = np.random.default_rng(3)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300,
+                        5e-324, 1.7976931348623157e308, 0.1, 1 / 3])
+    return {
+        "samples": rng.normal(size=(128, 2)) * 10.0 ** rng.integers(
+            -300, 300, size=(128, 1)),
+        "special": special,
+        "cube": rng.normal(size=(2, 3, 4)),
+        "empty": np.zeros((0, 2)),
+        "hollow": np.zeros((2, 0)),
+        "f32": rng.normal(size=(5, 2)).astype(np.float32),
+        "ints": np.arange(6).reshape(3, 2),
+        "uints": np.arange(3, dtype=np.uint8),
+        "bools": np.array([[True, False]]),
+        "zero_d": np.array(2.0 / 3.0),
+        "zero_d_int": np.array(7),
+        "scalars": (np.float64(1 / 7), np.float32(1 / 7), np.int64(3),
+                    np.int32(-2), 1.0 / 9.0, 5, True, None, "text"),
+        "nested": [{"a": (np.pi, [np.e, special[:4]])}, []],
+    }
+
+
 class TestClean:
     def test_nested_containers(self):
-        rng = np.random.default_rng(3)
-        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300,
-                            5e-324, 1.7976931348623157e308, 0.1, 1 / 3])
-        obj = {
-            "samples": rng.normal(size=(128, 2)) * 10.0 ** rng.integers(
-                -300, 300, size=(128, 1)),
-            "special": special,
-            "cube": rng.normal(size=(2, 3, 4)),
-            "empty": np.zeros((0, 2)),
-            "hollow": np.zeros((2, 0)),
-            "f32": rng.normal(size=(5, 2)).astype(np.float32),
-            "ints": np.arange(6).reshape(3, 2),
-            "uints": np.arange(3, dtype=np.uint8),
-            "bools": np.array([[True, False]]),
-            "zero_d": np.array(2.0 / 3.0),
-            "zero_d_int": np.array(7),
-            "scalars": (np.float64(1 / 7), np.float32(1 / 7), np.int64(3),
-                        np.int32(-2), 1.0 / 9.0, 5, True, None, "text"),
-            "nested": [{"a": (np.pi, [np.e, special[:4]])}, []],
-        }
+        obj = special_object()
         got = jsonio.clean(obj)
         want = reference_clean(obj)
         assert same(got, want)
@@ -169,5 +174,21 @@ class TestClean:
         rng = np.random.default_rng(8)
         report = {"wc_area": -1.33, "wc_samples": rng.normal(size=(128, 2)),
                   "cwms_samples": rng.normal(size=(128, 2))}
-        assert jsonio.dump_report(report) == json.dumps(
-            reference_clean(report), indent=2, sort_keys=True)
+        every = special_object()
+        cases = [report, every, {
+            **every, "cube": np.arange(24.0).reshape(2, 3, 4) / 7,
+            "none": np.zeros((0, 2)),
+            "text": "K\u2081\u2070 \u00e9t\u00e9 \"q\"\n\t",
+            "keys": {2: [0.1], 1: {"b": np.nan}},
+            "deep": [[[[]]], {}, [{}]]}]
+        for obj in cases:
+            assert jsonio.dump_report(obj) == json.dumps(
+                reference_clean(obj), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, 1j])
+    def test_dump_report_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(reference_clean({"a": value}), indent=2)
+        with pytest.raises(TypeError) as got:
+            jsonio.dump_report({"a": value})
+        assert str(got.value) == str(want.value)
