@@ -2,35 +2,27 @@
 balls: dual length, mixed areas, Wigner caustic / constant-width
 decomposition, and isoperimetric inequality verification."""
 
-from .ball import Piece, UnitBall, build_ball, builtin_ball, cross2
-from .curve import (AdmissibleCurve, ConvexityResult, convexifying_shift,
-                    curve_from_explicit, curve_from_radius, is_convex,
-                    pointwise_sum, shifted_by_ball)
-from .decomp import DecompositionResult, cwms, decompose, wigner_caustic
-from .expressions import (compile_fn, differentiate, evaluate, parse,
-                          to_text)
-from .inequalities import (IsoLedger, LhuilierReport, Polygon,
-                           circumscribed_parallel_polygon, embed_polygon,
-                           iso_ledger, lhuilier_check, minkowski_gap,
-                           polygon_ball, symmetrize_polygon)
-from .measures import (MeasureReport, dual_length, is_constant_width,
-                       is_symmetric, mean_width, measure_report, mixed_area,
-                       polygonal_area, shoelace_area, signed_area,
-                       support_value, width_profile)
-from .quadrature import QuadratureConfig, integrate, integrate_piecewise
+from .ball import Piece, build_ball, builtin_ball, cross2
+from .curve import (AdmissibleCurve, convexifying_shift, curve_from_explicit,
+                    curve_from_radius, is_convex, pointwise_sum,
+                    shifted_by_ball)
+from .decomp import cwms, decompose, wigner_caustic
+from .inequalities import (Polygon, circumscribed_parallel_polygon,
+                           embed_polygon, iso_ledger, lhuilier_check,
+                           minkowski_gap, polygon_ball, symmetrize_polygon)
+from .measures import (dual_length, is_constant_width, is_symmetric,
+                       mean_width, measure_report, mixed_area, polygonal_area,
+                       shoelace_area, signed_area, support_value)
+from .quadrature import QuadratureConfig
 
 __all__ = [
-    "AdmissibleCurve", "ConvexityResult", "DecompositionResult",
-    "IsoLedger", "LhuilierReport", "MeasureReport", "Piece", "Polygon",
-    "QuadratureConfig", "UnitBall", "build_ball", "builtin_ball",
-    "circumscribed_parallel_polygon", "compile_fn", "convexifying_shift",
-    "embed_polygon",
+    "AdmissibleCurve", "Piece", "Polygon", "QuadratureConfig", "build_ball",
+    "builtin_ball", "circumscribed_parallel_polygon", "convexifying_shift",
     "cross2", "curve_from_explicit", "curve_from_radius", "cwms",
-    "decompose", "differentiate", "dual_length", "evaluate", "integrate",
-    "integrate_piecewise", "is_constant_width", "is_convex", "is_symmetric",
-    "iso_ledger", "lhuilier_check", "mean_width", "measure_report",
-    "minkowski_gap", "mixed_area", "parse", "pointwise_sum",
-    "polygon_ball", "polygonal_area", "shifted_by_ball", "shoelace_area",
-    "signed_area", "support_value", "symmetrize_polygon", "to_text",
-    "wigner_caustic", "width_profile",
+    "decompose", "dual_length", "embed_polygon", "is_constant_width",
+    "is_convex", "is_symmetric", "iso_ledger", "lhuilier_check",
+    "mean_width", "measure_report", "minkowski_gap", "mixed_area",
+    "pointwise_sum", "polygon_ball", "polygonal_area", "shifted_by_ball",
+    "shoelace_area", "signed_area", "support_value", "symmetrize_polygon",
+    "wigner_caustic",
 ]

@@ -137,16 +137,10 @@ class Frame:
         self.piece = ball.piece_index(self.mid)
         # the panels of piece i are first[i] .. first[i + 1] - 1
         self.first = np.searchsorted(self.piece, np.arange(ball.n_pieces + 1))
-        # u, u' at the nodes and u_lo, u at each panel's left end: every
-        # segment in one gather by piece, then each arc on its panels
-        idx = np.broadcast_to(self.piece[:, None], self.t.shape)
-        self.u, self.du = ball.on_segments(idx, self.t)
-        self.u_lo = ball.on_segments(self.piece, self.lo)[0]
-        for i, p in ball.arcs.items():
-            span = slice(self.first[i], self.first[i + 1])
-            self.u[span] = p.point(self.t[span])
-            self.du[span] = p.velocity(self.t[span])
-            self.u_lo[span] = p.point(self.lo[span])
+        # u, u' at the nodes and u_lo, u at each panel's left end
+        self.u, self.du = ball.evaluate(
+            np.broadcast_to(self.piece[:, None], self.t.shape), self.t)
+        self.u_lo, = ball.evaluate(self.piece, self.lo, 0)
         self.cross = cross2(self.u, self.du)
         self.area = 0.5 * float(self.integral(self.cross))
 
@@ -207,9 +201,7 @@ class UnitBall:
         ts = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * ref
         ts[:, 0], ts[:, -1] = t0, t1
         rows = np.arange(m)[:, None].repeat(ts.shape[1], axis=1)
-        u, du = self.on_segments(rows, ts)
-        for i, p in self.arcs.items():
-            u[i], du[i] = p.point(ts[i]), p.velocity(ts[i])
+        u, du, ddu = self.evaluate(rows, ts, 2)
 
         self.diameter = 2.0 * float(np.max(np.linalg.norm(u, axis=-1)))
         if self.diameter == 0:
@@ -222,8 +214,7 @@ class UnitBall:
         bent = np.zeros(m, dtype=bool)
         arcs = list(self.arcs)
         if arcs:
-            ddu = np.stack([self.arcs[i].accel(ts[i]) for i in arcs])
-            bent[arcs] = np.min(cross2(du[arcs], ddu), axis=1) <= 0
+            bent[arcs] = np.min(cross2(du[arcs], ddu[arcs]), axis=1) <= 0
         faulty = slow | inward | bent
         if faulty.any():
             i = int(np.argmax(faulty))
@@ -266,11 +257,21 @@ class UnitBall:
             raise NotConvex(
                 f"right turn at vertex t={t0[int(np.argmax(right))]}")
 
-    def on_segments(self, idx, t):
-        """u and u' at parameters t as on the segments idx, of t's shape;
-        the values on an arc are zero."""
+    def evaluate(self, idx, t, order=1):
+        """[u, u', u''][:order + 1] at parameters t on the pieces idx, an
+        index array of t's shape: every segment in one gather by row, then
+        each arc called on its own parameters."""
         du = self.slope[idx]
-        return self.p0[idx] + du * (t[..., None] - self.t0[idx][..., None]), du
+        out = [self.p0[idx] + du * (t[..., None] - self.t0[idx][..., None]),
+               du, None][:order + 1]
+        if order == 2:
+            out[2] = np.zeros(du.shape)
+        for i, p in self.arcs.items():
+            on = idx == i
+            ti = t[on]
+            for values, fn in zip(out, (p.point, p.velocity, p.accel)):
+                values[on] = fn(ti)
+        return out
 
     @cached_property
     def pieces(self):
@@ -293,40 +294,26 @@ class UnitBall:
         idx = np.searchsorted(self.breaks, t, side="right") - 1
         return np.clip(idx, 0, self.n_pieces - 1)
 
-    def antipodal(self, i):
-        return (i + self.n_half) % self.n_pieces
-
-    def dispatch(self, t, gather, fns):
-        """gather(idx, t) at parameters t, idx the piece of each, except
-        on the pieces i in fns, where fns[i] gives the values (right piece
-        at a vertex)."""
+    def _at(self, t, order):
+        """The values of evaluate at parameters t of any shape, on the
+        right piece at a vertex."""
         t = self.reduce(t)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        idx = self.piece_index(t)
-        out = gather(idx, t)
-        if fns:
-            for i in fns.keys() & set(np.unique(idx).tolist()):
-                sel = idx == i
-                out[sel] = fns[i](t[sel])
-        return out[0] if scalar else out
+        ts = np.atleast_1d(t)
+        out = self.evaluate(self.piece_index(ts), ts, order)
+        return [v.reshape(t.shape + (2,)) for v in out]
 
     def point(self, t):
-        return self.dispatch(t, lambda idx, t: self.on_segments(idx, t)[0],
-                             {i: p.point for i, p in self.arcs.items()})
+        return self._at(t, 0)[0]
 
     def velocity(self, t):
-        return self.dispatch(t, lambda idx, t: self.slope[idx],
-                             {i: p.velocity for i, p in self.arcs.items()})
+        return self._at(t, 1)[1]
 
     def accel(self, t):
-        return self.dispatch(t, lambda idx, t: np.zeros(t.shape + (2,)),
-                             {i: p.accel for i, p in self.arcs.items()})
+        return self._at(t, 2)[2]
 
     def dual(self, t):
         """Dual-ball point v(t) = u'(t) / [u(t), u'(t)]."""
-        u = self.point(t)
-        du = self.velocity(t)
+        u, du = self._at(t, 1)
         denom = cross2(u, du)
         if np.any(np.abs(denom) < self.eps_reg):
             raise DegenerateDual("[u, u'] vanishes")

@@ -15,9 +15,9 @@ import click
 import numpy as np
 
 from . import jsonio, svg
-from .curve import is_convex, stacked_points
+from .curve import stacked_points
 from .decomp import decompose as decompose_curve
-from .errors import NormPlaneError, ValidationError
+from .errors import NormPlaneError, NotConvexInput, ValidationError
 from .inequalities import iso_ledger, lhuilier_check
 from .measures import measure_report
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -96,10 +96,11 @@ def analyze(curve_path, out_dir, rel_tol):
                 else QuadratureConfig(rel_tol=rel_tol))
         curve = jsonio.load_curve(curve_path, quad=quad)
         report = {"measures": measure_report(curve).to_dict()}
-        conv = is_convex(curve)
-        report["convex"] = conv.convex and conv.sign >= 0
-        if report["convex"]:
+        try:
             report["ledger"] = iso_ledger(curve).to_dict()
+        except NotConvexInput:
+            pass
+        report["convex"] = "ledger" in report
         _emit(report, out_dir, "analysis.json")
 
     _handle(run)

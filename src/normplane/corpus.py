@@ -20,7 +20,8 @@ import numpy as np
 
 from .ball import builtin_ball
 from .errors import NormPlaneError, NotClosed, NotConvexInput
-from .inequalities import Polygon, iso_ledger, minkowski_gap
+from .inequalities import (Polygon, iso_ledger, ledger_terms, minkowski_gap,
+                           minkowski_terms)
 from .modes import modes_of
 
 CORPUS_BALL_NAMES = ("euclidean", "square", "regular_2k_gon",
@@ -234,9 +235,8 @@ def _oracle(ball, coefficients, gram):
              "wc_area": led.wc_area, "cwms_area": led.cwms_area,
              "minkowski_gap": minkowski_gap(curve)}
     norm = {"dual_length": 2.0 * np.sqrt(led.ball_area * led.scale),
-            "minkowski_gap": max(led.dual_length ** 2,
-                                 4.0 * abs(led.curve_area) * led.ball_area,
-                                 1e-300)}
+            "minkowski_gap": minkowski_terms(led.dual_length, led.ball_area,
+                                             led.curve_area)[1]}
     return {name: (gram[name], value,
                    abs(gram[name] - value) / norm.get(name, led.scale))
             for name, value in table.items()}
@@ -354,18 +354,15 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     identity, margins, oracle = np.empty(0), {}, None
     if n:
         led = _ledgers(balls, curves)
-        lhs, cwms_area = led["lhs"], led["cwms_area"]
+        lhs, residual = led["lhs"], led["identity_residual"]
         if inject_bug == "cwms-sign":
-            cwms_area = -cwms_area
-        residual = lhs - (led["curve_area"] - 2.0 * led["wc_area"]
-                          - cwms_area)
+            residual = ledger_terms(
+                led["dual_length"], led["ball_area"], led["curve_area"],
+                led["wc_area"], -led["cwms_area"])["identity_residual"]
         identity = np.abs(residual) / lhs
-        mg_scale = np.maximum.reduce([
-            led["dual_length"] ** 2,
-            4.0 * np.abs(led["curve_area"]) * led["ball_area"],
-            np.full(n, 1e-300)])
         margins = {name: led[name] / led["scale"]
                    for name in ("gap_sym", "gap_cw", "gap_busemann")}
+        mg_scale = led["minkowski_scale"]
         margins["minkowski_gap"] = led["minkowski_gap"] / mg_scale
         fails = {"identity": np.abs(residual) > 1e-8 * lhs}
         for name in ("gap_sym", "gap_cw", "gap_busemann"):

@@ -159,6 +159,23 @@ class NodeTable:
         return ts.ravel(), r.ravel()
 
 
+def bbox_diameter(points):
+    """Diagonal of the bounding box of each set of points, shape
+    (..., N, 2)."""
+    return np.linalg.norm(points.max(axis=-2) - points.min(axis=-2),
+                          axis=-1)
+
+
+def convexity_sign(r):
+    """Per row of radius samples r: +1 or -1 when it keeps that sign,
+    0 when it takes both beyond 1e-10 of its largest magnitude (an all-zero
+    row, a point curve, counts as +1)."""
+    eps = 1e-10 * np.max(np.abs(r), axis=-1, keepdims=True)
+    pos = np.any(r > eps, axis=-1)
+    neg = np.any(r < -eps, axis=-1)
+    return np.where(pos & neg, 0, np.where(pos | ~neg, 1, -1))
+
+
 class AdmissibleCurve:
     """A closed curve subordinate to a ball's piece partition.
 
@@ -190,7 +207,7 @@ class AdmissibleCurve:
         self._diameter = None
 
         if check_closure:
-            tol_close = 1e-8 * max(self.diameter, ball.diameter)
+            tol_close = 1e-8 * self.length_scale
             if self.closure_residual > tol_close:
                 raise NotClosed(
                     f"curve does not close: residual "
@@ -223,8 +240,14 @@ class AdmissibleCurve:
 
     def radius(self, t):
         """Curvature radius r(t), vectorized (right piece at vertices)."""
-        return self.ball.dispatch(t, lambda idx, t: self._const[idx],
-                                  self._fns)
+        t = self.ball.reduce(t)
+        flat = np.atleast_1d(t)
+        idx = self.ball.piece_index(flat)
+        r = self._const[idx]
+        for i, fn in self._fns.items():
+            on = idx == i
+            r[on] = fn(flat[on])
+        return r.reshape(t.shape)
 
     def point(self, t):
         """gamma(t) = basepoint + integral of r u' from the start, read
@@ -232,17 +255,18 @@ class AdmissibleCurve:
         t = self.ball.reduce(t)
         return self._table.points(t.ravel()).reshape(t.shape + (2,))
 
-    def velocity(self, t):
-        return self.radius(t)[..., None] * self.ball.velocity(t)
-
     @property
     def diameter(self):
         """Diagonal of the bounding box of the node table's points."""
         if self._diameter is None:
-            pts = self.table().knots()
-            self._diameter = float(np.linalg.norm(pts.max(axis=0)
-                                                  - pts.min(axis=0)))
+            self._diameter = float(bbox_diameter(self.table().knots()))
         return self._diameter
+
+    @property
+    def length_scale(self):
+        """The length that the curve's closure, decomposition, width and
+        symmetry tolerances are relative to."""
+        return max(self.diameter, self.ball.diameter)
 
     def sample_params(self, per_piece):
         """per_piece Gauss-Legendre nodes on every piece."""
@@ -358,16 +382,11 @@ def is_convex(curve):
     """Classify by the sign pattern of the curvature radius at the nodes
     and panel ends of the curve's node table."""
     ts, r = curve.table().radius_samples()
-    scale = float(np.max(np.abs(r)))
-    if scale == 0.0:
-        return ConvexityResult(True, +1, None)  # point curve
-    eps = 1e-10 * scale
-    has_pos = bool(np.any(r > eps))
-    has_neg = bool(np.any(r < -eps))
-    if has_pos and has_neg:
-        flip = int(np.argmax(np.abs(np.diff(np.sign(r)))))
-        return ConvexityResult(False, 0, float(ts[flip]))
-    return ConvexityResult(True, +1 if has_pos or not has_neg else -1, None)
+    sign = int(convexity_sign(r))
+    if sign:
+        return ConvexityResult(True, sign, None)
+    flip = int(np.argmax(np.abs(np.diff(np.sign(r)))))
+    return ConvexityResult(False, 0, float(ts[flip]))
 
 
 def convexifying_shift(curve):

@@ -53,6 +53,7 @@ def cwms(curve, w=None):
 class DecompositionResult:
     wc: AdmissibleCurve
     cwms: AdmissibleCurve
+    dual_length: float
     mean_width: float
     residual: float          # max pointwise reconstruction error
     wc_area_raw: float       # signed area over the full period (loop twice)
@@ -79,7 +80,8 @@ def decompose(curve):
     curve's node table.
     """
     table = curve.table()
-    w = dual_length(curve) / table.frame.area
+    L = dual_length(curve)
+    w = L / table.frame.area
     wc_curve = wigner_caustic(curve)
     cw_curve = cwms(curve, w)
 
@@ -87,7 +89,7 @@ def decompose(curve):
     u = np.concatenate([table.frame.u_lo, table.frame.u.reshape(-1, 2)])
     recon = wc_curve.table().knots() + cw_curve.table().knots() + 0.5 * w * u
     residual = float(np.max(np.linalg.norm(table.knots() - recon, axis=-1)))
-    tol = 1e-9 * max(curve.diameter, curve.ball.diameter)
+    tol = 1e-9 * curve.length_scale
     if residual > tol:
         raise DecompositionResidual(
             f"reconstruction residual {residual:.3e} exceeds {tol:.3e}; "
@@ -97,6 +99,7 @@ def decompose(curve):
     return DecompositionResult(
         wc=wc_curve,
         cwms=cw_curve,
+        dual_length=L,
         mean_width=w,
         residual=residual,
         wc_area_raw=raw,

@@ -26,11 +26,17 @@ from .errors import (DegenerateIntersection, EmbeddingFailed,
 from .measures import dual_length, shoelace_area, signed_area
 
 
+def minkowski_terms(L, A_U, A):
+    """The Minkowski gap L*^2 - 4 A A(U), non-negative for admissible
+    curves, and the scale it is measured against; floats or arrays."""
+    return (L * L - 4.0 * A * A_U,
+            np.maximum(np.maximum(L * L, 4.0 * np.abs(A) * A_U), 1e-300))
+
+
 def minkowski_gap(curve):
     """L*(gamma)^2 - 4 A(gamma) A(U), non-negative for admissible curves."""
-    L = dual_length(curve)
-    A_U = curve.table().frame.area
-    return L * L - 4.0 * signed_area(curve) * A_U
+    return minkowski_terms(dual_length(curve), curve.table().frame.area,
+                           signed_area(curve))[0]
 
 
 @dataclass
@@ -53,34 +59,36 @@ class IsoLedger:
         return d
 
 
+def ledger_terms(L, A_U, A, A_WC, A_CWMS):
+    """The fields of IsoLedger from L*, A(U), A(gamma), A_WC and A_CWMS,
+    floats or arrays of one shape."""
+    lhs = L * L / (4.0 * A_U)
+    return {
+        "dual_length": L, "ball_area": A_U, "curve_area": A,
+        "wc_area": A_WC, "cwms_area": A_CWMS, "lhs": lhs,
+        "identity_residual": lhs - (A - 2.0 * A_WC - A_CWMS),
+        "gap_sym": lhs - (A - A_CWMS),
+        "gap_cw": lhs - (A - 2.0 * A_WC),
+        "gap_busemann": lhs - A,
+        "scale": np.maximum(np.maximum(np.abs(lhs), np.abs(A)), 1e-300),
+    }
+
+
 def iso_ledger(curve):
     """All terms of the isoperimetric identity and its weakened gaps.
 
-    Every term, A(U) included, is read from the curve's node table.
+    Every term, A(U) included, is read from the curve's node table, and
+    L* from decompose, which sums it for the mean width.
     """
     conv = is_convex(curve)
     if not (conv.convex and conv.sign >= 0):
         raise NotConvexInput(
             "the isoperimetric identity requires a positively oriented "
             f"convex curve (witness t={conv.witness})")
-    L = dual_length(curve)
-    A_U = curve.table().frame.area
-    A = signed_area(curve)
     dec = decompose(curve)
-    lhs = L * L / (4.0 * A_U)
-    return IsoLedger(
-        dual_length=L,
-        ball_area=A_U,
-        curve_area=A,
-        wc_area=dec.wc_area,
-        cwms_area=dec.cwms_area,
-        lhs=lhs,
-        identity_residual=lhs - (A - 2.0 * dec.wc_area - dec.cwms_area),
-        gap_sym=lhs - (A - dec.cwms_area),
-        gap_cw=lhs - (A - 2.0 * dec.wc_area),
-        gap_busemann=lhs - A,
-        scale=max(abs(lhs), abs(A), 1e-300),
-    )
+    return IsoLedger(**ledger_terms(
+        dec.dual_length, curve.table().frame.area, signed_area(curve),
+        dec.wc_area, dec.cwms_area))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +310,9 @@ def lhuilier_check(K):
     L = dual_length(gamma)
     A_K = K.area
     A_ball = K1_0.area
-    gap = L * L / (4.0 * A_ball) - A_K
+    # the weak gap is the Busemann one, which reads neither area of the
+    # decomposition
+    led = ledger_terms(L, A_ball, A_K, 0.0, 0.0)
     # equality iff the radius is the same constant on every piece
     r = gamma.table().r
     spread = float(np.max(r) - np.min(r))
@@ -310,6 +320,5 @@ def lhuilier_check(K):
     return LhuilierReport(
         K=K, K1=K1, K1_0=K1_0,
         dual_length=L, area_K=A_K, area_K1_0=A_ball,
-        gap=gap, equality=equality,
-        scale=max(abs(L * L / (4.0 * A_ball)), abs(A_K), 1e-300),
+        gap=led["gap_busemann"], equality=equality, scale=led["scale"],
     )

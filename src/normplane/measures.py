@@ -82,7 +82,7 @@ def is_constant_width(curve):
 
 
 def _width_check(curve, ts, w):
-    scale = max(curve.diameter, curve.ball.diameter)
+    scale = curve.length_scale
     spread = float(np.max(w) - np.min(w))
     if spread < 1e-8 * scale:
         return WidthCheck(True, float(np.mean(w)), None)
@@ -104,7 +104,7 @@ def _symmetric(curve, g, gT):
     mid = 0.5 * (g + gT)
     center = mid.mean(axis=0)
     dev = float(np.max(np.linalg.norm(g + gT - 2 * center, axis=-1)))
-    scale = max(curve.diameter, curve.ball.diameter)
+    scale = curve.length_scale
     return dev < 1e-8 * scale
 
 

@@ -15,7 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import AdmissibleCurve, NodeTable, NodeValues
+from .curve import (AdmissibleCurve, NodeTable, NodeValues, bbox_diameter,
+                    convexity_sign)
+from .inequalities import ledger_terms, minkowski_terms
 from .quadrature import DEFAULT_CONFIG
 
 
@@ -109,8 +111,8 @@ class Modes:
         """AdmissibleCurve.diameter of each row: the bounding-box
         diagonal of its knots."""
         knots = self.gram.knots
-        pts = (C @ knots.reshape(len(knots), -1)).reshape(len(C), -1, 2)
-        return np.linalg.norm(pts.max(axis=1) - pts.min(axis=1), axis=-1)
+        return bbox_diameter(
+            (C @ knots.reshape(len(knots), -1)).reshape(len(C), -1, 2))
 
     def closed(self, ball, C):
         """Whether each row passes AdmissibleCurve's closure check: its gap
@@ -122,17 +124,13 @@ class Modes:
         return ok
 
     def convexity(self, C):
-        """is_convex's sign of each row: +1 or -1 when convex, 0 when r
-        takes both signs beyond 1e-10 of its largest magnitude, read at
-        the same nodes and panel ends."""
-        r = C @ self.gram.samples.T
-        eps = 1e-10 * np.max(np.abs(r), axis=1, keepdims=True)
-        pos = np.any(r > eps, axis=1)
-        neg = np.any(r < -eps, axis=1)
-        return np.where(pos & neg, 0, np.where(pos | ~neg, 1, -1))
+        """is_convex's sign of each row, read at the same nodes and panel
+        ends."""
+        return convexity_sign(C @ self.gram.samples.T)
 
     def ledger(self, C):
-        """The fields of iso_ledger, and minkowski_gap, for each row.
+        """The fields of iso_ledger, and the Minkowski gap and its scale,
+        for each row.
 
         The WC radius (r(t) - r(t + T)) / 2 is the odd-k part of c; the
         CWMS radius (r(t) + r(t + T) - w) / 2 the even part less w / 2 on
@@ -144,23 +142,11 @@ class Modes:
         odd = C * self.odd
         even = C - odd
         even[:, 0] -= 0.5 * L / A_U
-        wc_area = 0.5 * self.areas(odd)
-        cwms_area = self.areas(even)
-        lhs = L * L / (4.0 * A_U)
-        return {
-            "dual_length": L,
-            "ball_area": np.full(len(C), A_U),
-            "curve_area": A,
-            "wc_area": wc_area,
-            "cwms_area": cwms_area,
-            "lhs": lhs,
-            "identity_residual": lhs - (A - 2.0 * wc_area - cwms_area),
-            "gap_sym": lhs - (A - cwms_area),
-            "gap_cw": lhs - (A - 2.0 * wc_area),
-            "gap_busemann": lhs - A,
-            "scale": np.maximum(np.maximum(np.abs(lhs), np.abs(A)), 1e-300),
-            "minkowski_gap": L * L - 4.0 * A * A_U,
-        }
+        led = ledger_terms(L, np.full(len(C), A_U), A,
+                           0.5 * self.areas(odd), self.areas(even))
+        led["minkowski_gap"], led["minkowski_scale"] = minkowski_terms(
+            L, A_U, A)
+        return led
 
 
 _MODES = weakref.WeakKeyDictionary()   # ball -> {kmax: Modes}

@@ -122,20 +122,6 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     return total[0] if scalar else total
 
 
-def integrate_piecewise(f, partition, quad=DEFAULT_CONFIG):
-    """Integrate over consecutive intervals of a partition, summing results.
-
-    The partition is the increasing sequence of breakpoints; the integrand
-    must be smooth in the interior of each interval.
-    """
-    partition = np.asarray(partition, dtype=float)
-    total = None
-    for a, b in zip(partition[:-1], partition[1:]):
-        part = integrate(f, a, b, quad)
-        total = part if total is None else total + part
-    return total
-
-
 @lru_cache(maxsize=32)
 def legendre_operators(n):
     """Matrices acting on the values of a function at the n Gauss nodes.

@@ -113,6 +113,19 @@ class TestAnalyze:
         assert report["measures"]["mean_width"] == pytest.approx(
             led["dual_length"] / led["ball_area"], rel=1e-11)
 
+    def test_non_convex_curve_has_no_ledger(self, tmp_path):
+        # closed, but its radius 1 + 3 cos(pi t) changes sign
+        doc = {"ball": "euclidean", "basepoint": [1, 0],
+               "radius": ["1+3*cos(pi*t)"] * 4}
+        p = write_doc(tmp_path / "curve.json", doc)
+        res = run_cli("analyze", "--curve", p)
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        assert report["convex"] is False
+        assert "ledger" not in report
+        assert report["measures"]["dual_length"] == pytest.approx(
+            2 * np.pi, rel=1e-10)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_rel_tol_is_invalid_input(self, tmp_path, value):
         p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)

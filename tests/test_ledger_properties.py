@@ -1,0 +1,76 @@
+"""Invariances of the isoperimetric ledger, as Hypothesis properties.
+
+iso_ledger and Modes.ledger build their fields with one formula,
+ledger_terms, so comparing the two paths cannot catch a fault in it.  Here
+the ledger of a drawn convex curve is compared with the ledger of the same
+curve moved or scaled: a translate has the same ledger, and a curve scaled
+by c has c times its L*, the same A(U), and c^2 times every area and gap.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normplane import builtin_ball, iso_ledger
+from normplane.corpus import CORPUS_BALL_NAMES, convex_coefficients
+
+# the power of the scale factor each term picks up; every other term is an
+# area or a gap, and picks up its square
+POWERS = {"dual_length": 1, "ball_area": 0}
+
+balls = st.sampled_from(CORPUS_BALL_NAMES)
+seeds = st.integers(0, 2**32 - 1)
+factors = st.floats(0.1, 10.0)
+
+
+def drawn_curve(name, seed):
+    """A convex corpus curve on the named ball."""
+    ball = builtin_ball(name)
+    rng = np.random.default_rng(seed)
+    modes, c, basepoint = convex_coefficients(ball, rng)
+    return modes.curve(ball, c, basepoint)
+
+
+def assert_scaled(got, want, c, tol=1e-12):
+    """got is the ledger want of a curve scaled by c.  Areas and gaps are
+    measured against the ledger's scale, L* against 2 sqrt(A(U) scale), the
+    largest L* that scale admits, and A(U) against itself."""
+    scale = np.asarray(want["scale"])
+    sizes = {0: np.asarray(want["ball_area"]),
+             1: 2.0 * np.sqrt(want["ball_area"] * scale), 2: scale}
+    for name, value in want.items():
+        p = POWERS.get(name, 2)
+        err = np.abs(np.asarray(got[name]) - c ** p * np.asarray(value))
+        assert np.all(err <= tol * c ** p * sizes[p]), name
+
+
+def fields(led):
+    return {**led.to_dict(), "scale": led.scale}
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=balls, seed=seeds,
+       v=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+def test_translated_curve_has_the_same_ledger(name, seed, v):
+    curve = drawn_curve(name, seed)
+    assert_scaled(fields(iso_ledger(curve.translated(v))),
+                  fields(iso_ledger(curve)), 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=balls, seed=seeds, c=factors)
+def test_radius_scaled_curve_scales_its_ledger(name, seed, c):
+    curve = drawn_curve(name, seed)
+    assert_scaled(fields(iso_ledger(curve.radius_scaled(c))),
+                  fields(iso_ledger(curve)), c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=balls, seeds=st.lists(seeds, min_size=1, max_size=6), c=factors)
+def test_gram_ledger_scales_with_the_coefficients(name, seeds, c):
+    ball = builtin_ball(name)
+    drawn = [convex_coefficients(ball, np.random.default_rng(s))
+             for s in seeds]
+    modes = drawn[0][0]
+    C = np.array([row for _, row, _ in drawn])
+    assert_scaled(modes.ledger(c * C), modes.ledger(C), c)
