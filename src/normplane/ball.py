@@ -319,55 +319,34 @@ class UnitBall:
             raise DegenerateDual("[u, u'] vanishes")
         return du / np.asarray(denom)[..., None]
 
-    def frame(self, quad, fns, const=None):
+    def frame(self, quad, radius):
         """The Frame of the panels the adaptive rule of quad accepts for
         r u'.
 
-        fns maps piece indices to radius callables, or is a list of one
-        callable per piece; const holds the constant radius of every other
-        piece (default zero).  A callable may return trailing axes, several
-        radii at once, and the panels then resolve all of them.  Piece i
-        and its antipode i + n share one panel layout, chosen on both radii
-        at once.  Frames are cached by layout, so curves whose panels agree
+        radius(idx, t) gives r at parameters t on the pieces idx, an index
+        array of t's shape.  It may return trailing axes, several radii at
+        once, and the panels then resolve all of them.  Piece i and its
+        antipode i + n share one panel layout, chosen on both radii at
+        once.  Frames are cached by layout, so curves whose panels agree
         share one Frame object.
         """
         n, T = self.n_half, self.T
         starts = self.breaks[:n + 1]
-        if not isinstance(fns, dict):
-            fns = dict(enumerate(fns))
-        if const is None:
-            const = np.zeros(self.n_pieces)
-        # the first-half pieces evaluated one by one: arcs, and those with
-        # a callable radius on either half
-        slow = sorted({i for i in self.arcs if i < n} | {i % n for i in fns})
+        arcs = [i for i in self.arcs if i < n]
 
         def f(s):
             # the nodes of the open panels come in increasing order, so the
             # nodes on each piece form one slice
             cut = np.searchsorted(s, starts)
-            piece = np.repeat(np.arange(n), np.diff(cut))
-            r = np.stack([const[piece], const[piece + n]], axis=-1)
-            du = self.slope[piece]
-            g = r[..., None] * du[:, None]
-            for i in slow:
+            idx = np.repeat(np.arange(n), np.diff(cut))
+            r = np.stack([radius(idx, s), radius(idx + n, s + T)], axis=-1)
+            du = self.slope[idx]
+            for i in arcs:
                 span = slice(cut[i], cut[i + 1])
-                si = s[span]
-                if not len(si):
-                    continue
-                ri = np.stack([fns[i](si) if i in fns else r[span, 0],
-                               fns[i + n](si + T) if i + n in fns
-                               else r[span, 1]], axis=-1)
-                dui = (self.arcs[i].velocity(si) if i in self.arcs
-                       else du[span])
-                gi = ri[..., None] * dui.reshape(
-                    (len(si),) + (1,) * (ri.ndim - 1) + (2,))
-                if gi.shape[1:] != g.shape[1:]:
-                    # radii with trailing axes; a constant is one on each
-                    g = np.broadcast_to(
-                        g.reshape((len(s),) + (1,) * (gi.ndim - 3) + (2, 2)),
-                        (len(s),) + gi.shape[1:]).copy()
-                g[span] = gi
-            return g
+                if span.start < span.stop:
+                    du[span] = self.arcs[i].velocity(s[span])
+            return r[..., None] * du.reshape(
+                (len(s),) + (1,) * (r.ndim - 1) + (2,))
 
         leaves = []
         integrate(f, starts[:-1], starts[1:], quad, leaves=leaves)
@@ -396,8 +375,8 @@ class UnitBall:
     def area(self):
         """Enclosed area, A(U) = 1/2 * integral of [u, u']."""
         if self._own_frame is None:
-            self._own_frame = self.frame(DEFAULT_CONFIG, {},
-                                         np.ones(self.n_pieces))
+            self._own_frame = self.frame(DEFAULT_CONFIG,
+                                         lambda idx, t: np.ones(idx.shape))
         return self._own_frame.area
 
     def scaled(self, c):

@@ -59,13 +59,10 @@ def _per_piece(radii, m):
         raise ValueError(
             f"need one radius per ball piece ({m}), got {len(radii)}")
     fns = {i: _coerce_radius(r) for i, r in enumerate(radii)
-           if not isinstance(r, (int, float))}
+           if not (isinstance(r, (int, float)) and np.isfinite(r))}
     const = np.array([0.0 if i in fns else r for i, r in enumerate(radii)],
                      dtype=float)
-    finite = np.isfinite(const)
-    for i in np.flatnonzero(~finite).tolist():
-        fns[i] = _coerce_radius(float(const[i]))
-    return np.where(finite, const, 0.0), fns
+    return const, fns
 
 
 def _piece_radius(table, i):
@@ -166,6 +163,16 @@ def bbox_diameter(points):
                           axis=-1)
 
 
+def closure_tol(gap, ball, diameters):
+    """The closure tolerance of each gap: 1e-8 of the larger of the ball's
+    diameter and its curve's.  diameters() gives the curves' diameters and
+    is called only when some gap exceeds 1e-8 of the ball's."""
+    tol = 1e-8 * ball.diameter
+    if np.less_equal(gap, tol).all():
+        return tol
+    return 1e-8 * np.maximum(diameters(), ball.diameter)
+
+
 def convexity_sign(r):
     """Per row of radius samples r: +1 or -1 when it keeps that sign,
     0 when it takes both beyond 1e-10 of its largest magnitude (an all-zero
@@ -204,14 +211,14 @@ class AdmissibleCurve:
 
         self.closure_gap = self._table.gap
         self.closure_residual = float(np.linalg.norm(self.closure_gap))
-        self._diameter = None
 
         if check_closure:
-            tol_close = 1e-8 * self.length_scale
-            if self.closure_residual > tol_close:
+            tol = closure_tol(self.closure_residual, ball,
+                              lambda: self.diameter)
+            if self.closure_residual > tol:
                 raise NotClosed(
                     f"curve does not close: residual "
-                    f"{self.closure_residual:.3e} > {tol_close:.3e}")
+                    f"{self.closure_residual:.3e} > {tol:.3e}")
 
     @cached_property
     def radii(self):
@@ -219,18 +226,22 @@ class AdmissibleCurve:
         return [self._fns.get(i) or _coerce_radius(c)
                 for i, c in enumerate(self._const.tolist())]
 
+    def _radius_at(self, idx, t):
+        """r at parameters t on the pieces idx, an index array of t's
+        shape: the constants in one gather by piece, then each callable
+        through its sampler on its own piece's parameters."""
+        r = self._const[idx]
+        for i, fn in self._fns.items():
+            on = idx == i
+            if on.any():
+                r[on] = _sampler(i, fn)(t[on])
+        return r
+
     def _tabulate(self):
-        """The NodeTable on the panels that quad accepts for the radii:
-        the constants in one gather by piece, each callable on its panels.
-        """
-        samplers = {i: _sampler(i, fn) for i, fn in self._fns.items()}
-        frame = self.ball.frame(self.quad, samplers, self._const)
-        r = np.empty(frame.t.shape)
-        r[...] = self._const[frame.piece][:, None]
-        for i, sample in samplers.items():
-            span = slice(frame.first[i], frame.first[i + 1])
-            r[span] = sample(frame.t[span])
-        return NodeTable(frame, r, self.basepoint)
+        """The NodeTable on the panels that quad accepts for the radii."""
+        frame = self.ball.frame(self.quad, self._radius_at)
+        idx = np.broadcast_to(frame.piece[:, None], frame.t.shape)
+        return NodeTable(frame, self._radius_at(idx, frame.t), self.basepoint)
 
     def table(self):
         """The curve's NodeTable."""
@@ -240,14 +251,9 @@ class AdmissibleCurve:
 
     def radius(self, t):
         """Curvature radius r(t), vectorized (right piece at vertices)."""
-        t = self.ball.reduce(t)
-        flat = np.atleast_1d(t)
-        idx = self.ball.piece_index(flat)
-        r = self._const[idx]
-        for i, fn in self._fns.items():
-            on = idx == i
-            r[on] = fn(flat[on])
-        return r.reshape(t.shape)
+        flat = self.ball.reduce(np.ravel(t))
+        return self._radius_at(self.ball.piece_index(flat),
+                               flat).reshape(np.shape(t))
 
     def point(self, t):
         """gamma(t) = basepoint + integral of r u' from the start, read
@@ -255,12 +261,10 @@ class AdmissibleCurve:
         t = self.ball.reduce(t)
         return self._table.points(t.ravel()).reshape(t.shape + (2,))
 
-    @property
+    @cached_property
     def diameter(self):
         """Diagonal of the bounding box of the node table's points."""
-        if self._diameter is None:
-            self._diameter = float(bbox_diameter(self.table().knots()))
-        return self._diameter
+        return float(bbox_diameter(self.table().knots()))
 
     @property
     def length_scale(self):

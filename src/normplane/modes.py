@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import (AdmissibleCurve, NodeTable, NodeValues, bbox_diameter,
-                    convexity_sign)
+                    closure_tol, convexity_sign)
 from .inequalities import ledger_terms, minkowski_terms
 from .quadrature import DEFAULT_CONFIG
 
@@ -54,7 +54,7 @@ class Modes:
         self.t_start = ball.t_start
         self.freq = np.arange(1, kmax + 1) * np.pi / ball.T
         frame = self.frame = ball.frame(DEFAULT_CONFIG,
-                                        [self.values] * len(ball.pieces))
+                                        lambda idx, t: self.values(t))
         self.nodes = self.values(frame.t)
         self.gaps = np.einsum("pk,pkm,pkd->md", frame.weights, self.nodes,
                               frame.du)
@@ -115,13 +115,9 @@ class Modes:
             (C @ knots.reshape(len(knots), -1)).reshape(len(C), -1, 2))
 
     def closed(self, ball, C):
-        """Whether each row passes AdmissibleCurve's closure check: its gap
-        within 1e-8 of the larger of its and the ball's diameter."""
+        """Whether each row passes AdmissibleCurve's closure check."""
         gap = np.hypot(*(C @ self.gaps).T)
-        ok = gap <= 1e-8 * ball.diameter
-        if not ok.all():
-            ok |= gap <= 1e-8 * self.diameters(C)
-        return ok
+        return gap <= closure_tol(gap, ball, lambda: self.diameters(C))
 
     def convexity(self, C):
         """is_convex's sign of each row, read at the same nodes and panel

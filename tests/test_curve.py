@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from normplane import expressions as ex
 from normplane import (builtin_ball, convexifying_shift, curve_from_explicit,
                        curve_from_radius, is_convex, jsonio, pointwise_sum,
                        shifted_by_ball)
-from normplane.errors import NotAdmissible, NotClosed
+from normplane.errors import DomainError, NotAdmissible, NotClosed
 
 from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII
 
@@ -47,6 +49,14 @@ class TestFromRadius:
                                    atol=1e-12)
         np.testing.assert_allclose(example22.point(np.array(3.0)), [1, -3],
                                    atol=1e-10)
+
+    def test_radius_outside_its_domain_raises(self, euclidean):
+        # no node falls on t = 0.5, so the curve builds; r(0.5) is 0 * inf
+        curve = curve_from_radius(euclidean, "1+0*log(abs(t-0.5))",
+                                  basepoint=(1, 0))
+        with pytest.raises(DomainError, match=re.escape(
+                "radius of piece 0 is not finite at t=0.5") + "$"):
+            curve.radius([0.25, 0.5])
 
     def test_non_closing_radius_raises(self, euclidean):
         # an anti-periodic first mode has nonzero displacement integral

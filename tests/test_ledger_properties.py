@@ -5,13 +5,17 @@ ledger_terms, so comparing the two paths cannot catch a fault in it.  Here
 the ledger of a drawn convex curve is compared with the ledger of the same
 curve moved or scaled: a translate has the same ledger, and a curve scaled
 by c has c times its L*, the same A(U), and c^2 times every area and gap.
+A map M of ball and curve together, det M > 0, multiplies L*, A(U) and
+every area by det M, and leaves every gap over the ledger's scale
+unchanged.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normplane import builtin_ball, iso_ledger
+from normplane import (Piece, build_ball, builtin_ball, curve_from_radius,
+                       iso_ledger)
 from normplane.corpus import CORPUS_BALL_NAMES, convex_coefficients
 
 # the power of the scale factor each term picks up; every other term is an
@@ -21,6 +25,15 @@ POWERS = {"dual_length": 1, "ball_area": 0}
 balls = st.sampled_from(CORPUS_BALL_NAMES)
 seeds = st.integers(0, 2**32 - 1)
 factors = st.floats(0.1, 10.0)
+angles = st.floats(0.0, 2 * np.pi)
+# M = R(a) diag(s1, s2) R(b), every map with det M > 0
+maps = st.builds(
+    lambda a, s1, s2, b: rotation(a) @ np.diag([s1, s2]) @ rotation(b),
+    angles, st.floats(0.3, 3.0), st.floats(0.3, 3.0), angles)
+
+
+def rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
 
 
 def drawn_curve(name, seed):
@@ -29,6 +42,21 @@ def drawn_curve(name, seed):
     rng = np.random.default_rng(seed)
     modes, c, basepoint = convex_coefficients(ball, rng)
     return modes.curve(ball, c, basepoint)
+
+
+def mapped_ball(name, M):
+    """The named corpus ball mapped by M: a polygon by its vertices, and
+    the arcs (cos, sin) of the others by their texts."""
+    ball = builtin_ball(name)
+    if not ball.arcs:
+        return build_ball(ball.p0 @ M.T)
+    (a, b), (c, d) = (["(%r)" % float(m) for m in row] for row in M)
+    x = f"{a}*cos(pi/2*t)+{b}*sin(pi/2*t)"
+    y = f"{c}*cos(pi/2*t)+{d}*sin(pi/2*t)"
+    return build_ball([Piece.arc(x, y, p.t0, p.t1) if p.kind == "arc"
+                       else Piece.segment(M @ p.p0, M @ p.p1, p.t0, p.t1)
+                       for p in ball.pieces[:ball.n_half]],
+                      auto_symmetrize=True)
 
 
 def assert_scaled(got, want, c, tol=1e-12):
@@ -74,3 +102,23 @@ def test_gram_ledger_scales_with_the_coefficients(name, seeds, c):
     modes = drawn[0][0]
     C = np.array([row for _, row, _ in drawn])
     assert_scaled(modes.ledger(c * C), modes.ledger(C), c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=balls, seed=seeds, M=maps)
+def test_mapped_ball_and_curve_scale_the_ledger_by_det(name, seed, M):
+    ball = builtin_ball(name)
+    modes, c, basepoint = convex_coefficients(
+        ball, np.random.default_rng(seed))
+    radius = lambda t: modes.values(t) @ c
+    want = fields(iso_ledger(curve_from_radius(ball, radius, basepoint)))
+    got = fields(iso_ledger(curve_from_radius(mapped_ball(name, M), radius,
+                                              M @ basepoint)))
+    det = np.linalg.det(M)
+    for field in ("dual_length", "ball_area", "curve_area", "wc_area",
+                  "cwms_area", "lhs"):
+        err = abs(got[field] - det * want[field])
+        assert err <= 1e-12 * det * want["scale"], field
+    for field in ("identity_residual", "gap_sym", "gap_cw", "gap_busemann"):
+        err = abs(got[field] / got["scale"] - want[field] / want["scale"])
+        assert err <= 1e-12, field

@@ -121,7 +121,15 @@ def _check_against_reference(ball, radii, quad=DEFAULT_CONFIG):
         np.testing.assert_array_equal(
             values[i], reference_integrate(f, p.t0, p.t1, quad, want))
     assert got == want
-    assert ball.frame(quad, radii).leaves == tuple(want)
+
+    def radius(idx, t):
+        # the radius of each piece on its own parameters
+        parts = {i: radii[i](t[idx == i]) for i in np.unique(idx).tolist()}
+        r = np.empty(idx.shape + next(iter(parts.values())).shape[1:])
+        for i, ri in parts.items():
+            r[idx == i] = ri
+        return r
+    assert ball.frame(quad, radius).leaves == tuple(want)
 
 
 def _wavy(ball, k=20, b=0.5):
