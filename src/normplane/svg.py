@@ -6,8 +6,6 @@ output is bit-stable for identical inputs.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 _FMT = "{:.9g}"
@@ -15,6 +13,12 @@ _FMT = "{:.9g}"
 
 def _f(x):
     return _FMT.format(float(x))
+
+
+def escape(text):
+    """text with &, > and < escaped, as xml.sax.saxutils.escape writes it
+    (importing that module loads urllib.request, http.client and email)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class Layer:

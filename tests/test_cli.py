@@ -87,6 +87,15 @@ def test_cli_import_leaves_the_corpus_out():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_cli_import_leaves_the_network_and_mail_modules_out():
+    # svg escapes its text itself: xml.sax.saxutils imports urllib.request,
+    # which imports http.client, email and ssl
+    code = ("import sys, normplane.cli; sys.exit(bool("
+            "{'xml.sax', 'urllib.request', 'http.client', 'email', 'ssl'}"
+            " & set(sys.modules)))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 class TestAnalyze:
     def test_example_values(self, tmp_path):
         p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)

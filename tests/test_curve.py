@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from normplane import expressions as ex
-from normplane import (builtin_ball, convexifying_shift, curve_from_explicit,
-                       curve_from_radius, is_convex, jsonio, pointwise_sum,
-                       shifted_by_ball)
+from normplane import (AdmissibleCurve, builtin_ball, convexifying_shift,
+                       curve_from_explicit, curve_from_radius, is_convex,
+                       jsonio, pointwise_sum, shifted_by_ball)
 from normplane.errors import DomainError, NotAdmissible, NotClosed
 
 from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII
@@ -26,6 +26,18 @@ class TestFromRadius:
         ts = np.linspace(0, 4, 100)
         np.testing.assert_allclose(curve.point(ts), c * mixed.point(ts),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("radii", [
+        np.array([1, 2, 1, 2]), [np.float32(1), 2, 1, 2],
+        [np.int64(1), np.float64(2), 1, 2]])
+    def test_numpy_scalar_radii_are_constants(self, square, radii):
+        want = AdmissibleCurve(square, [1.0, 2.0, 1.0, 2.0], (2, -1))
+        got = AdmissibleCurve(square, radii, (2, -1))
+        ts = np.linspace(0, 4, 9)
+        assert np.array_equal(got.radius(ts), want.radius(ts))
+        assert np.array_equal(got.point(ts), want.point(ts))
+        scalar = AdmissibleCurve(square, np.float32(2), (2, -1))
+        assert np.array_equal(scalar.radius(ts), np.full(9, 2.0))
 
     def test_example22_matches_explicit_points(self, example22):
         want = {

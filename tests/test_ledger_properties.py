@@ -122,3 +122,33 @@ def test_mapped_ball_and_curve_scale_the_ledger_by_det(name, seed, M):
     for field in ("identity_residual", "gap_sym", "gap_cw", "gap_busemann"):
         err = abs(got[field] / got["scale"] - want[field] / want["scale"])
         assert err <= 1e-12, field
+
+
+def shifted_ledgers(ball, seed, shift):
+    """The ledgers of a drawn convex curve with radius r(t) and of the
+    curve with radius r(t + shift), both from the same explicit series."""
+    modes, c, basepoint = convex_coefficients(
+        ball, np.random.default_rng(seed))
+    return [fields(iso_ledger(curve_from_radius(
+        ball, lambda t, s=s: modes.values(t + s) @ c, basepoint)))
+        for s in (shift, 0.0)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, shift=st.floats(-4.0, 4.0))
+def test_shifted_radius_on_the_circle_has_the_same_ledger(seed, shift):
+    # r(t + c) u'(t) is r(t + c) u'(t + c) turned by -pi c / 2: the curve
+    # rotated, whose ledger on the rotation-invariant circle is the same
+    assert_scaled(*shifted_ledgers(builtin_ball("euclidean"), seed, shift),
+                  1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, k=st.integers(2, 6), data=st.data())
+def test_whole_piece_shift_on_a_regular_polygon_keeps_the_ledger(seed, k,
+                                                                 data):
+    # a shift by j unit pieces turns the curve by j pi / k, which maps the
+    # regular 2k-gon onto itself
+    j = data.draw(st.integers(1, 2 * k - 1))
+    assert_scaled(*shifted_ledgers(builtin_ball("regular_2k_gon", k=k),
+                                   seed, float(j)), 1.0)
