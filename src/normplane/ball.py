@@ -9,6 +9,7 @@ u(t + T) = -u(t); build_ball can derive that half from the first.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -119,30 +120,38 @@ class Frame:
     leaves, the (lo, hi) pairs of the first half period, then the same
     shifted by T, so panel p + P/2 is panel p shifted by T.  weights holds
     the quadrature weight of every node, so the integral over the period of
-    a function with values v at the nodes t is integral(v).
+    a function with values v at the nodes t is integral(v).  Values are
+    gathered per panel, u_lo and area on first use.
     """
 
     def __init__(self, ball, leaves, n):
         x, w = gauss_legendre(n)
-        self.leaves = leaves
-        self.n = n
-        lo, hi = np.array(leaves).T
-        lo = np.concatenate([lo, lo + ball.T])
-        hi = np.concatenate([hi, hi + ball.T])
-        self.lo = lo
-        self.mid = 0.5 * (lo + hi)
-        self.half = 0.5 * (hi - lo)
+        self._ball = weakref.ref(ball)   # the ball caches its frames
+        self.leaves, self.n = leaves, n
+        lo, hi = (np.concatenate([e, e + ball.T]) for e in np.array(leaves).T)
+        self.lo, self.mid, self.half = lo, 0.5 * (lo + hi), 0.5 * (hi - lo)
         self.t = self.mid[:, None] + self.half[:, None] * x
         self.weights = self.half[:, None] * w
         self.piece = ball.piece_index(self.mid)
         # the panels of piece i are first[i] .. first[i + 1] - 1
         self.first = np.searchsorted(self.piece, np.arange(ball.n_pieces + 1))
-        # u, u' at the nodes and u_lo, u at each panel's left end
-        self.u, self.du = ball.evaluate(
-            np.broadcast_to(self.piece[:, None], self.t.shape), self.t)
-        self.u_lo, = ball.evaluate(self.piece, self.lo, 0)
+        self.u, self.du = ball.evaluate(self.piece[:, None], self.t,
+                                        first=self.first)
         self.cross = cross2(self.u, self.du)
-        self.area = 0.5 * float(self.integral(self.cross))
+
+    @cached_property
+    def u_lo(self):
+        """u at each panel's left end."""
+        return self._ball().evaluate(self.piece, self.lo, 0, self.first)[0]
+
+    @cached_property
+    def area(self):
+        """The area of the ball, 1/2 the integral of [u, u']."""
+        return 0.5 * float(self.integral(self.cross))
+
+    def mixed_area(self, g, r):
+        """1/2 the integral of [g, r u'], g and r given at the nodes."""
+        return 0.5 * float(self.integral(cross2(g, r[..., None] * self.du)))
 
     def cuts(self, i):
         """The panel ends on piece i, for i in the first half period."""
@@ -170,7 +179,7 @@ class UnitBall:
     Piece i runs over [t0[i], t1[i]].  A segment is held as rows: p0[i] +
     slope[i] (t - t0[i]) runs from p0[i] to p1[i].  arcs maps the index of
     every arc to its Piece; the rows of an arc are zero.  The pieces are
-    validated on construction; use :func:`build_ball`.
+    validated on construction, a segment at its ends; use :func:`build_ball`.
     """
 
     def __init__(self, t0, t1, p0, p1, arcs):
@@ -191,30 +200,26 @@ class UnitBall:
         self.T = float(0.5 * (self.breaks[-1] - self.breaks[0]))
         self.t_start = float(self.breaks[0])
         self._frames = {}       # (panels, nodes) -> Frame
-        self._own_frame = None  # the Frame of r = 1
 
-        # sample each piece once, shape (pieces, nodes): the interior Gauss
-        # nodes plus both ends, exactly
+        # a segment's ends decide its checks (u' and [u, u'] are constant,
+        # |u| and |u(t) + u(t + T)| convex); arcs add the Gauss nodes
         n, T = self.n_half, self.T
-        x, _ = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)
-        ref = np.concatenate(([-1.0], x, [1.0]))
-        ts = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * ref
-        ts[:, 0], ts[:, -1] = t0, t1
-        rows = np.arange(m)[:, None].repeat(ts.shape[1], axis=1)
-        u, du, ddu = self.evaluate(rows, ts, 2)
+        x = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)[0] if arcs else []
+        ts = np.column_stack([t0, 0.5 * (t0 + t1)[:, None]
+                              + 0.5 * (t1 - t0)[:, None] * x, t1])
+        u, du, ddu = self.evaluate(np.arange(m)[:, None], ts, 2,
+                                   np.arange(m + 1))
+        seg = ~np.isin(np.arange(m), list(arcs))
+        u[seg, -1] = p1[seg]    # the vertex, not its rounded copy
 
         self.diameter = 2.0 * float(np.max(np.linalg.norm(u, axis=-1)))
         if self.diameter == 0:
             raise ValidationError("degenerate ball")
-        eps_reg = self.eps_reg = 1e-9 * self.diameter
-        tol_geom = self.tol_geom = 1e-9 * self.diameter
+        eps_reg = tol_geom = self.eps_reg = 1e-9 * self.diameter
 
         slow = np.min(np.linalg.norm(du, axis=-1), axis=1) < eps_reg
         inward = np.min(cross2(u, du), axis=1) <= eps_reg
-        bent = np.zeros(m, dtype=bool)
-        arcs = list(self.arcs)
-        if arcs:
-            bent[arcs] = np.min(cross2(du[arcs], ddu[arcs]), axis=1) <= 0
+        bent = ~seg & (np.min(cross2(du, ddu), axis=1) <= 0)
         faulty = slow | inward | bent
         if faulty.any():
             i = int(np.argmax(faulty))
@@ -257,17 +262,19 @@ class UnitBall:
             raise NotConvex(
                 f"right turn at vertex t={t0[int(np.argmax(right))]}")
 
-    def evaluate(self, idx, t, order=1):
+    def evaluate(self, idx, t, order=1, first=None):
         """[u, u', u''][:order + 1] at parameters t on the pieces idx, an
-        index array of t's shape: every segment in one gather by row, then
-        each arc called on its own parameters."""
-        du = self.slope[idx]
-        out = [self.p0[idx] + du * (t[..., None] - self.t0[idx][..., None]),
-               du, None][:order + 1]
-        if order == 2:
-            out[2] = np.zeros(du.shape)
+        index array that broadcasts against t: segments in one gather by
+        coordinate, then each arc on its parameters, rows first[i] ..
+        first[i + 1] - 1 if first is given (idx sorted), else a mask."""
+        s = t - self.t0[idx]
+        u, du = np.empty(s.shape + (2,)), np.empty(s.shape + (2,))
+        for j in (0, 1):
+            du[..., j] = self.slope[idx, j]
+            u[..., j] = self.p0[idx, j] + du[..., j] * s
+        out = [u, du, np.zeros(u.shape) if order == 2 else None][:order + 1]
         for i, p in self.arcs.items():
-            on = idx == i
+            on = idx == i if first is None else slice(first[i], first[i + 1])
             ti = t[on]
             for values, fn in zip(out, (p.point, p.velocity, p.accel)):
                 values[on] = fn(ti)
@@ -340,13 +347,16 @@ class UnitBall:
             cut = np.searchsorted(s, starts)
             idx = np.repeat(np.arange(n), np.diff(cut))
             r = np.stack([radius(idx, s), radius(idx + n, s + T)], axis=-1)
-            du = self.slope[idx]
+            du = [self.slope[idx, j] for j in (0, 1)]
             for i in arcs:
                 span = slice(cut[i], cut[i + 1])
                 if span.start < span.stop:
-                    du[span] = self.arcs[i].velocity(s[span])
-            return r[..., None] * du.reshape(
-                (len(s),) + (1,) * (r.ndim - 1) + (2,))
+                    v = self.arcs[i].velocity(s[span])
+                    du[0][span], du[1][span] = v[:, 0], v[:, 1]
+            out = np.empty(r.shape + (2,))
+            for j in (0, 1):
+                out[..., j] = r * du[j].reshape((-1,) + (1,) * (r.ndim - 1))
+            return out
 
         leaves = []
         integrate(f, starts[:-1], starts[1:], quad, leaves=leaves)
@@ -373,11 +383,9 @@ class UnitBall:
 
     @property
     def area(self):
-        """Enclosed area, A(U) = 1/2 * integral of [u, u']."""
-        if self._own_frame is None:
-            self._own_frame = self.frame(DEFAULT_CONFIG,
-                                         lambda idx, t: np.ones(idx.shape))
-        return self._own_frame.area
+        """Enclosed area, A(U) = 1/2 * integral of [u, u'], with r = 1."""
+        return self.frame(DEFAULT_CONFIG,
+                          lambda idx, t: np.ones(idx.shape)).area
 
     def scaled(self, c):
         """The ball scaled by a positive factor about the origin."""

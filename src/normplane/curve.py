@@ -51,9 +51,12 @@ def _sampler(i, fn):
 
 
 def _per_piece(radii, m):
-    """Radii given for m pieces as constants, zero on a piece with a
-    callable, and the callables by piece.  A constant that is not finite
-    stays a callable, which raises DomainError where it is sampled."""
+    """The constants of m pieces (zero where a callable is) and the
+    callables by piece; a finite float array is taken whole.  A constant
+    that is not finite stays a callable, raising DomainError if sampled."""
+    if getattr(radii, "dtype", None) == float and radii.shape == (m,):
+        if np.isfinite(radii).all():
+            return radii.copy(), {}
     if callable(radii) or isinstance(radii, (ex.Expr, str, numbers.Real)):
         radii = [radii] * m
     if len(radii) != m:
@@ -85,21 +88,34 @@ class NodeTable:
 
     start holds gamma at each panel's left end, gap the displacement over
     one period (zero for a closed curve).  Between nodes, r is each panel's
-    Legendre interpolant and gamma the integral of that of r u'.
+    Legendre interpolant and gamma the integral of that of r u'.  gamma at
+    the nodes, L*, A(gamma) and the series are built on first use.
     """
 
     def __init__(self, frame, r, basepoint):
-        self.frame = frame
-        self.r = r
+        self.frame, self.r = frame, r
         g = r[..., None] * frame.du
         ends = basepoint + np.cumsum(
             np.einsum("pk,pkd->pd", frame.weights, g), axis=0)
         self.start = np.concatenate([[basepoint], ends[:-1]])
         self.gap = ends[-1] - basepoint
-        C = legendre_operators(frame.n)[2]
-        self.gamma = self.start[:, None] + frame.half[:, None, None] * (C @ g)
 
-    # the series are built on first use: the Lhuilier check reads neither
+    @cached_property
+    def dual_length(self):
+        """L*, the integral of r [u, u'] over the period."""
+        return float(self.frame.integral(self.r * self.frame.cross))
+
+    @cached_property
+    def area(self):
+        """A(gamma), the curve's mixed area with itself."""
+        return self.frame.mixed_area(self.gamma, self.r)
+
+    @cached_property
+    def gamma(self):
+        """gamma at the nodes, shape (P, n, 2)."""
+        f, C = self.frame, legendre_operators(self.frame.n)[2]
+        return self.start[:, None] + f.half[:, None, None] * (
+            C @ (self.r[..., None] * f.du))
 
     @cached_property
     def _gamma_coef(self):
@@ -227,22 +243,24 @@ class AdmissibleCurve:
         return [self._fns.get(i) or _coerce_radius(c)
                 for i, c in enumerate(self._const.tolist())]
 
-    def _radius_at(self, idx, t):
-        """r at parameters t on the pieces idx, an index array of t's
-        shape: the constants in one gather by piece, then each callable
+    def _radius_at(self, idx, t, first=None):
+        """r at parameters t on the pieces idx, taken as UnitBall.evaluate
+        takes them: the constants in one gather by piece, then each callable
         through its sampler on its own piece's parameters."""
-        r = self._const[idx]
+        r = np.empty(np.shape(t))
+        r[...] = self._const[idx]
         for i, fn in self._fns.items():
-            on = idx == i
-            if on.any():
-                r[on] = _sampler(i, fn)(t[on])
+            on = idx == i if first is None else slice(first[i], first[i + 1])
+            ti = t[on]
+            if ti.size:
+                r[on] = _sampler(i, fn)(ti)
         return r
 
     def _tabulate(self):
         """The NodeTable on the panels that quad accepts for the radii."""
         frame = self.ball.frame(self.quad, self._radius_at)
-        idx = np.broadcast_to(frame.piece[:, None], frame.t.shape)
-        return NodeTable(frame, self._radius_at(idx, frame.t), self.basepoint)
+        return NodeTable(frame, self._radius_at(frame.piece[:, None], frame.t,
+                                                frame.first), self.basepoint)
 
     def table(self):
         """The curve's NodeTable."""

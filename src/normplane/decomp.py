@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import AdmissibleCurve
 from .errors import DecompositionResidual
-from .measures import dual_length, signed_area
+from .measures import dual_length, mean_width, signed_area
 
 
 def _antipodal(values):
@@ -37,11 +37,10 @@ def wigner_caustic(curve):
     return curve._derived(table.frame, r, base)
 
 
-def cwms(curve, w=None):
+def cwms(curve):
     """The constant width measure set, radius (r(t) + r(t+T) - w) / 2."""
     table = curve.table()
-    if w is None:
-        w = dual_length(curve) / table.frame.area
+    w = mean_width(curve)
     r = 0.5 * (table.r + _antipodal(table.r) - w)
     # the first panel starts at t0
     base = 0.5 * (table.start[0] - _antipodal(table.start)[0]
@@ -80,10 +79,9 @@ def decompose(curve):
     curve's node table.
     """
     table = curve.table()
-    L = dual_length(curve)
-    w = L / table.frame.area
+    w = mean_width(curve)
     wc_curve = wigner_caustic(curve)
-    cw_curve = cwms(curve, w)
+    cw_curve = cwms(curve)
 
     # the identity at every panel start and node of the table
     u = np.concatenate([table.frame.u_lo, table.frame.u.reshape(-1, 2)])
@@ -99,7 +97,7 @@ def decompose(curve):
     return DecompositionResult(
         wc=wc_curve,
         cwms=cw_curve,
-        dual_length=L,
+        dual_length=dual_length(curve),
         mean_width=w,
         residual=residual,
         wc_area_raw=raw,

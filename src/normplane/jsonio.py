@@ -100,14 +100,23 @@ def load_polygon(doc_or_path):
     return polygon_from_doc(_load(doc_or_path))
 
 
+# 12 significant digits for stable, diffable reports
 _FMT12 = "{:.12g}".format
 # json's spellings of the floats that float.__repr__ writes otherwise
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _round12(x):
-    # 12 significant digits for stable, diffable reports
-    return float(_FMT12(x))
+def _json12(text):
+    """The JSON text of float(text), for text written by _FMT12.  Twelve
+    digits round-trip, so repr writes the same ones, laid out its way: a
+    ".0" on integers, positional up to e+15.  Subnormals go through repr."""
+    mant, _, exp = text.partition("e")
+    if not exp:
+        return text if "." in text else _JSON_FLOAT.get(text, text + ".0")
+    e = int(exp)
+    if 12 <= e <= 15:
+        return "%.1f" % float(text)
+    return text if e > -308 else float.__repr__(float(text))
 
 
 def clean(obj):
@@ -115,10 +124,8 @@ def clean(obj):
 
     A float array is rounded in one pass over its flattened values and
     nested once, by the array's own tolist."""
-    if isinstance(obj, float):
-        return _round12(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
+    if isinstance(obj, (float, np.floating)):
+        return float(_FMT12(float(obj)))
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
             flat = map(float, map(_FMT12, obj.ravel().tolist()))
@@ -160,17 +167,13 @@ def _text(obj, pad):
     if obj is False:
         return "false"
     if isinstance(obj, (float, np.floating)):
-        text = float.__repr__(_round12(float(obj)))
-        return _JSON_FLOAT.get(text, text)
+        return _json12(_FMT12(float(obj)))
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f":
             return _text(obj.tolist(), pad)
-        text = map(float.__repr__,
-                   map(float, map(_FMT12, obj.ravel().tolist())))
-        if not np.isfinite(obj).all():
-            text = [_JSON_FLOAT.get(s, s) for s in text]
+        text = map(_json12, map(_FMT12, obj.ravel().tolist()))
         return _template(obj.shape, pad) % tuple(text)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):

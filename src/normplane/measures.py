@@ -13,8 +13,7 @@ from .errors import MismatchedBalls
 
 def dual_length(curve):
     """L*(gamma) = integral of r(t) [u(t), u'(t)] dt over one period."""
-    table = curve.table()
-    return float(table.frame.integral(table.r * table.frame.cross))
+    return curve.table().dual_length
 
 
 def mixed_area(c1, c2):
@@ -31,13 +30,12 @@ def mixed_area(c1, c2):
         raise ValueError("curves must share a quadrature rule")
     t1, t2 = c1.table(), c2.table()
     frame = c1.ball.common_frame(t1.frame, t2.frame)
-    g1, r2 = t1.gamma_on(frame), t2.radius_on(frame)
-    return 0.5 * float(frame.integral(cross2(g1, r2[..., None] * frame.du)))
+    return frame.mixed_area(t1.gamma_on(frame), t2.radius_on(frame))
 
 
 def signed_area(curve):
     """A(gamma) = A(gamma, gamma); the enclosed area for convex curves."""
-    return mixed_area(curve, curve)
+    return curve.table().area
 
 
 def mean_width(curve):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from normplane import (Piece, build_ball, builtin_ball, cross2, jsonio,
-                       mixed_area, signed_area)
+from normplane import (Piece, build_ball, builtin_ball,
+                       circumscribed_parallel_polygon, cross2, jsonio,
+                       mixed_area, signed_area, symmetrize_polygon)
 from normplane import expressions as ex
+from normplane.corpus import random_convex_polygon
 from normplane.errors import (DegeneratePiece, NotClosed, NotConvex,
                               NotSymmetric, UnknownBuiltin, ValidationError)
 
@@ -260,3 +262,48 @@ def test_segment_matches_its_compiled_expression(p0, p1, t0, t1):
             for t in (ts + (s.t0 - t0), np.array(s.t1)):
                 want = np.stack([fns[0][j](t), fns[1][j](t)], axis=-1)
                 np.testing.assert_array_equal(method(t), want)
+
+
+def _hexagon_vertices():
+    return np.array([(np.cos(a), np.sin(a)) for a in np.pi * np.arange(6) / 3])
+
+
+class TestArcFreeValidation:
+    """A ball of segments only is checked at the ends of its pieces; each
+    fault keeps the class and message that sampling the piece interiors
+    gave."""
+
+    @pytest.mark.parametrize("pieces, error, message", [
+        (np.array([(1, -1), (1, 1), (1, 1), (-1, 1), (-1, -1), (-1, -1)]),
+         DegeneratePiece, "u' vanishes on piece [1.0, 2.0]"),
+        (np.array([(-1, -1), (-1, 1), (1, 1), (1, -1)]), NotConvex,
+         "[u, u'] is not strictly positive on piece [0.0, 1.0] (origin not "
+         "strictly inside or wrong orientation)"),
+        (np.array([(1, 0), (0.3, 0.3), (0, 1), (-1, 0), (-0.3, -0.3),
+                   (0, -1)]), NotConvex, "right turn at vertex t=1.0"),
+        (np.concatenate([_hexagon_vertices()[:5],
+                         _hexagon_vertices()[5:] + [1e-6, 0]]),
+         NotSymmetric, "u(t+T) != -u(t) on piece 1 (error 1.000e-06)"),
+        ([Piece.segment((1, -1), (1, 1), 0, 1),
+          Piece.segment((1, 1), (-1, 1), 1, 2),
+          Piece.segment((-1, 1), (-1, -1), 2, 3),
+          Piece.segment((-1, -1), (0.9, -1), 3, 4)],
+         NotClosed, "boundary gap 1.000e-01 exceeds tolerance"),
+    ], ids=["repeated-vertex", "clockwise", "reflex-vertex",
+            "moved-antipode", "gap"])
+    def test_fault_class_and_message(self, pieces, error, message):
+        with pytest.raises(error) as info:
+            build_ball(pieces)
+        assert str(info.value) == message
+
+    def test_diameter_is_twice_the_largest_vertex(self):
+        rng = np.random.default_rng(17)
+        polygons = [builtin_ball("square").p0,
+                    builtin_ball("regular_2k_gon", k=5).p0]
+        for _ in range(500):
+            K = random_convex_polygon(rng, int(rng.integers(3, 49)))
+            polygons.append(symmetrize_polygon(
+                circumscribed_parallel_polygon(K)).vertices)
+        for verts in polygons:
+            largest = np.max(np.linalg.norm(verts, axis=-1))
+            assert build_ball(verts).diameter == 2 * largest

@@ -9,10 +9,11 @@ import re
 import numpy as np
 import pytest
 
-from normplane import (AdmissibleCurve, builtin_ball,
-                       circumscribed_parallel_polygon, cross2,
-                       curve_from_radius, embed_polygon, polygon_ball,
-                       symmetrize_polygon)
+from normplane import (AdmissibleCurve, Piece, Polygon, build_ball,
+                       builtin_ball, circumscribed_parallel_polygon, cross2,
+                       curve_from_radius, embed_polygon, lhuilier_check,
+                       polygon_ball, symmetrize_polygon)
+from normplane.ball import Frame
 from normplane.corpus import random_convex_polygon
 from normplane.curve import NodeTable, _sampler
 from normplane.errors import DomainError
@@ -187,3 +188,108 @@ def test_non_finite_constant_radius_names_piece_and_parameter(square, radii,
                                                               message):
     with pytest.raises(DomainError, match=re.escape(message) + "$"):
         curve_from_radius(square, radii)
+
+
+# -- frames gathered per panel ---------------------------------------------
+
+def _stadium():
+    """Two half discs joined by segments: four arcs, two segments."""
+    half = [Piece.arc("1+cos(pi/2*t)", "sin(pi/2*t)", 0, 1),
+            Piece.segment((1, 1), (-1, 1), 1, 2),
+            Piece.arc("-1-sin(pi/2*(t-2))", "cos(pi/2*(t-2))", 2, 3)]
+    return build_ball(half, auto_symmetrize=True)
+
+
+def _polygon_balls(count):
+    rng = np.random.default_rng(41)
+    for _ in range(count):
+        K = random_convex_polygon(rng, int(rng.integers(5, 49)))
+        K1_0 = symmetrize_polygon(circumscribed_parallel_polygon(K))
+        yield polygon_ball(K1_0), K, K1_0
+
+
+def assert_frame_matches_per_node(frame, ball):
+    """u, u', [u, u'], u_lo and the area gathered per panel equal those of
+    evaluate with a piece index per node, bit for bit; u_lo and the area
+    are dropped first, if they were read, and built again."""
+    idx = np.broadcast_to(frame.piece[:, None], frame.t.shape)
+    u, du = ball.evaluate(idx, frame.t)
+    np.testing.assert_array_equal(frame.u, u)
+    np.testing.assert_array_equal(frame.du, du)
+    np.testing.assert_array_equal(frame.cross, cross2(u, du))
+    vars(frame).pop("u_lo", None)
+    vars(frame).pop("area", None)
+    np.testing.assert_array_equal(frame.u_lo,
+                                  ball.evaluate(frame.piece, frame.lo, 0)[0])
+    assert frame.area == 0.5 * float(frame.integral(cross2(u, du)))
+
+
+@pytest.mark.parametrize("name, params", BUILTINS,
+                         ids=[f"{n}{p.get('k', '')}" for n, p in BUILTINS])
+def test_builtin_frames_match_per_node_evaluate(name, params):
+    ball = builtin_ball(name, **params)
+    wavy = lambda t: 1.0 + 0.25 * np.sin(40.0 * t)   # noqa: E731
+    curve = AdmissibleCurve(ball, wavy, (0.0, 0.0), check_closure=False)
+    assert_frame_matches_per_node(curve.table().frame, ball)
+    assert_frame_matches_per_node(ball.frame(DEFAULT_CONFIG, lambda idx, t:
+                                             np.ones(idx.shape)), ball)
+
+
+def test_four_arc_frames_match_per_node_evaluate_and_reference():
+    ball = _stadium()
+    assert len(ball.arcs) == 4
+    rng = np.random.default_rng(6)
+    for radius in ("1+0.3*cos(pi*t)", "2+sin(3*t)", 1.5):
+        curve = AdmissibleCurve(ball, radius, (0.0, 0.0),
+                                check_closure=False)
+        assert_frame_matches_per_node(curve.table().frame, ball)
+        assert_matches_reference(curve, curve.radii, rng)
+
+
+def test_polygon_frames_match_per_node_evaluate():
+    for ball, K, K1_0 in _polygon_balls(100):
+        frame = embed_polygon(K, K1_0, ball=ball).table().frame
+        assert not {"u_lo", "area"} & set(vars(frame))
+        assert_frame_matches_per_node(frame, ball)
+
+
+def test_the_lhuilier_check_reads_no_lazy_part(monkeypatch):
+    def unread(self):
+        raise AssertionError("the Lhuilier check read a lazy part")
+
+    for cls, name in ((Frame, "u_lo"), (Frame, "area"),
+                      (NodeTable, "gamma")):
+        monkeypatch.setattr(cls, name, property(unread))
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        K = random_convex_polygon(rng, int(rng.integers(3, 49)))
+        assert lhuilier_check(K).gap >= 0
+
+
+# -- many-vertex polygons ---------------------------------------------------
+
+def test_a_400_vertex_ellipse_polygon():
+    th = 2 * np.pi * np.arange(400) / 400 + 0.1
+    K = Polygon(np.column_stack([2 * np.cos(th) + 0.3, np.sin(th) - 0.2]))
+    report = lhuilier_check(K)
+    per = float(np.sum(np.linalg.norm(K.edges, axis=-1)))
+    assert abs(report.dual_length - per) <= 1e-12 * per
+    assert report.gap >= 0
+    assert len(report.K1_0.vertices) == 400
+
+
+# -- radii given as a float array ---------------------------------------------
+
+def test_a_finite_float_array_is_taken_whole(square):
+    radii = np.array([1.0, 2.0, 1.0, 2.0])
+    curve = curve_from_radius(square, radii)
+    assert curve._fns == {}
+    np.testing.assert_array_equal(curve._const, radii)
+    radii[0] = 5.0
+    assert curve._const[0] == 1.0
+    radii[0] = 1.0
+    # the same radii as a list, and as a float32 array
+    want = curve_from_radius(square, radii).table().r
+    for same in (radii.tolist(), radii.astype(np.float32)):
+        np.testing.assert_array_equal(
+            curve_from_radius(square, same).table().r, want)

@@ -13,6 +13,7 @@ from normplane import (QuadratureConfig, builtin_ball, convexifying_shift,
                        dual_length, is_convex, iso_ledger, measure_report,
                        mixed_area, pointwise_sum, shifted_by_ball,
                        signed_area, support_value, wigner_caustic)
+from normplane.ball import Frame
 from normplane.corpus import random_convex_curve
 from normplane.curve import NodeTable
 from normplane.errors import DomainError
@@ -255,3 +256,26 @@ def test_series_are_built_on_first_use(mixed, monkeypatch):
     monkeypatch.setattr(NodeTable, "_r_coef", property(unread))
     report = lhuilier_check(Polygon(np.array([[0, 0], [2, 0], [0, 1.0]])))
     assert report.gap > 0
+
+
+def test_analyze_sums_each_integral_once(mixed, monkeypatch):
+    """normplane analyze (measure_report, then iso_ledger) sums L*, A(U),
+    A(gamma), A(WC) and A(CWMS) once each, all on the curve's frame."""
+    curve = curve_from_radius(mixed, EXAMPLE22_RADII, basepoint=(2, 1))
+    frame = curve.table().frame
+    vars(frame).pop("area", None)   # A(U) again, if another curve read it
+    summed = []
+    integral = Frame.integral
+
+    def counted(self, values):
+        summed.append(self)
+        return integral(self, values)
+
+    monkeypatch.setattr(Frame, "integral", counted)
+    report = measure_report(curve)
+    ledger = iso_ledger(curve)
+    assert len(summed) == 5
+    assert all(f is frame for f in summed)
+    assert ledger.dual_length == report.dual_length == dual_length(curve)
+    assert ledger.curve_area == report.signed_area == signed_area(curve)
+    assert len(summed) == 5
