@@ -9,6 +9,7 @@ u(t + T) = -u(t); build_ball can derive that half from the first.
 
 from __future__ import annotations
 
+import math
 import weakref
 from functools import cached_property, lru_cache
 
@@ -159,8 +160,10 @@ class Frame:
         return np.array([span[0][0]] + [hi for _, hi in span])
 
     def integral(self, values):
-        """The quadrature sum of values at the nodes, shape (P, n, ...)."""
-        return np.tensordot(self.weights, values, axes=2)
+        """The quadrature sum of values at the nodes, shape (P, n, ...): the
+        product np.tensordot(weights, values, 2) forms, without its set-up."""
+        w = self.weights.reshape(1, -1)
+        return np.dot(w, values.reshape(w.size, -1)).reshape(values.shape[2:])
 
     def locate(self, t, piece=None):
         """Panel index and position in [-1, 1] of each reduced parameter,
@@ -233,10 +236,16 @@ class UnitBall:
             raise NotConvex(
                 f"[u', u''] changes sign or vanishes on arc {where}")
 
-        # closure
-        gap = np.linalg.norm(u[-1, -1] - u[0, 0])
+        # closure: each piece ends where the next starts, the last where
+        # the first does; the largest gap is reported
+        d = u[:, -1] - following(u[:, 0])
+        x, y = d[:, 0], d[:, 1]
+        gap2 = x * x + y * y
+        i = int(np.argmax(gap2))
+        gap = math.sqrt(gap2[i])
         if gap > tol_geom:
-            raise NotClosed(f"boundary gap {gap:.3e} exceeds tolerance")
+            where = "" if i == m - 1 else f" at t={t1[i]}"
+            raise NotClosed(f"boundary gap {gap:.3e}{where} exceeds tolerance")
 
         # antipodal pairing: intervals and values
         tol_t = 1e-9 * max(1.0, T)

@@ -180,14 +180,14 @@ def bbox_diameter(points):
     return np.sqrt(dx * dx + dy * dy)
 
 
-def closure_tol(gap, ball, diameters):
-    """The closure tolerance of each gap: 1e-8 of the larger of the ball's
-    diameter and its curve's.  diameters() gives the curves' diameters and
-    is called only when some gap exceeds 1e-8 of the ball's."""
-    tol = 1e-8 * ball.diameter
+def closure_tol(gap, ball, diameters, rel=1e-8):
+    """The tolerance of each gap: rel (1e-8 for closure) of the larger of
+    the ball's diameter and its curve's.  diameters() gives the curves'
+    diameters and is called only when some gap exceeds rel of the ball's."""
+    tol = rel * ball.diameter
     if np.less_equal(gap, tol).all():
         return tol
-    return 1e-8 * np.maximum(diameters(), ball.diameter)
+    return rel * np.maximum(diameters(), ball.diameter)
 
 
 def convexity_sign(r):

@@ -49,22 +49,25 @@ def support_value(curve, t):
 
 
 def _antipodal_points(curve):
-    """(ts, gamma(ts), gamma(ts + T)) at 48 Gauss nodes per piece."""
+    """(ts, gamma(ts)) for ts the 48 Gauss nodes per piece stacked over
+    themselves shifted by T, shape (2, m): gamma is read once."""
     ts = curve.sample_params(48)
-    return ts, curve.point(ts), curve.point(ts + curve.ball.T)
+    ts = np.stack([ts, ts + curve.ball.T])
+    return ts, curve.point(ts)
 
 
-def _widths(curve, ts, g, gT):
-    """[gamma,v](t) + [gamma,v](t+T) from the points at ts and ts + T."""
-    return (cross2(g, curve.ball.dual(ts))
-            + cross2(gT, curve.ball.dual(ts + curve.ball.T)))
+def _widths(curve, ts, points):
+    """[gamma,v](t) + [gamma,v](t+T) from _antipodal_points, with the dual
+    points at both rows of ts read in one call."""
+    s = cross2(points, curve.ball.dual(ts))
+    return s[0] + s[1]
 
 
 def width_profile(curve):
     """(params, widths) with width(t) = [gamma,v](t) + [gamma,v](t+T), at
     48 Gauss nodes per piece."""
-    ts, g, gT = _antipodal_points(curve)
-    return ts, _widths(curve, ts, g, gT)
+    ts, points = _antipodal_points(curve)
+    return ts[0], _widths(curve, ts, points)
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,7 @@ def is_symmetric(curve):
     The curve is first re-centered by the mean of its midpoint curve
     (gamma(t) + gamma(t+T)) / 2, so symmetry about any center counts.
     """
-    _, g, gT = _antipodal_points(curve)
-    return _symmetric(curve, g, gT)
+    return _symmetric(curve, *_antipodal_points(curve)[1])
 
 
 def _symmetric(curve, g, gT):
@@ -139,16 +141,16 @@ class MeasureReport:
 def measure_report(curve):
     """Compute all scalar measures of a curve in one go, every one read
     from its node table; the width profile and the symmetry test share
-    one reading of gamma at ts and at ts + T."""
+    one reading of gamma at ts and ts + T together."""
     L = dual_length(curve)
-    ts, g, gT = _antipodal_points(curve)
-    profile = _widths(curve, ts, g, gT)
-    cw = _width_check(curve, ts, profile)
+    ts, points = _antipodal_points(curve)
+    profile = _widths(curve, ts, points)
+    cw = _width_check(curve, ts[0], profile)
     return MeasureReport(
         dual_length=L,
         signed_area=signed_area(curve),
         mean_width=L / curve.table().frame.area,
-        is_symmetric=_symmetric(curve, g, gT),
+        is_symmetric=_symmetric(curve, *points),
         is_constant_width=cw.constant,
         width_constant=cw.value,
         width_profile_min=float(np.min(profile)),

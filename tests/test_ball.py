@@ -203,6 +203,20 @@ class TestValidationErrors:
         with pytest.raises((NotClosed, NotSymmetric)):
             build_ball(pieces)
 
+    def test_gap_at_an_inner_vertex(self):
+        # each piece must start where the one before it ends, not only the
+        # first where the last ends
+        pieces = [Piece.segment((1, -1), (1, 1), 0, 1),
+                  Piece.segment((1, 1.5), (-1, 1), 1, 2)]
+        with pytest.raises(NotClosed) as info:
+            build_ball(pieces, auto_symmetrize=True)
+        assert str(info.value) == \
+            "boundary gap 5.000e-01 at t=1.0 exceeds tolerance"
+        arcs = [Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", 0, 1),
+                Piece.arc("1.01*cos(pi/2*t)", "1.01*sin(pi/2*t)", 1, 2)]
+        with pytest.raises(NotClosed, match=r"at t=1\.0 "):
+            build_ball(arcs, auto_symmetrize=True)
+
     def test_not_convex_clockwise(self):
         verts = [(1, -1), (-1, -1), (-1, 1), (1, 1)]
         pieces = [Piece.segment(verts[i], verts[(i + 1) % 4], i, i + 1)

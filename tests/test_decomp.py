@@ -111,6 +111,46 @@ class TestDecomposition:
             wigner_caustic(cwms(example22)).radius(ts), 0.0, atol=1e-10)
 
 
+class TestStackedPass:
+    """decompose runs both parts' tables in one stacked pass and builds no
+    curve; its numbers and its parts on first access match the curves
+    wigner_caustic and cwms build one at a time."""
+
+    @staticmethod
+    def check(curve):
+        s = curve.length_scale
+        dec = decompose(curve)
+        wc, cw = wigner_caustic(curve), cwms(curve)
+        assert abs(dec.wc_area - 0.5 * signed_area(wc)) <= 1e-13 * s * s
+        assert abs(dec.wc_area_raw - signed_area(wc)) <= 1e-13 * s * s
+        assert abs(dec.cwms_area - signed_area(cw)) <= 1e-13 * s * s
+        # the residual of the identity over the parts' own knots
+        table = curve.table()
+        u = np.concatenate([table.frame.u_lo, table.frame.u.reshape(-1, 2)])
+        recon = (wc.table().knots() + cw.table().knots()
+                 + 0.5 * dec.mean_width * u)
+        residual = np.max(np.linalg.norm(table.knots() - recon, axis=-1))
+        assert abs(dec.residual - residual) <= 1e-13 * s
+        ts = np.linspace(-1.0, 9.0, 97)
+        for got, want in ((dec.wc, wc), (dec.cwms, cw)):
+            assert got.table().frame is table.frame
+            assert np.max(np.abs(got.point(ts) - want.point(ts))) \
+                <= 1e-13 * s
+
+    def test_matches_the_curves_on_every_builtin_ball(self, all_balls):
+        rng = np.random.default_rng(43)
+        for ball in all_balls.values():
+            self.check(random_convex_curve(ball, rng))
+
+    def test_matches_the_curves_on_example22(self, example22):
+        self.check(example22)
+
+    def test_parts_are_built_once_on_first_access(self, example22):
+        dec = decompose(example22)
+        assert "wc" not in vars(dec) and "cwms" not in vars(dec)
+        assert dec.wc is dec.wc and dec.cwms is dec.cwms
+
+
 class TestImageProperties:
     def test_wc_output_is_constant_width_zero(self, all_balls):
         rng = np.random.default_rng(13)

@@ -8,15 +8,24 @@ by c has c times its L*, the same A(U), and c^2 times every area and gap.
 A map M of ball and curve together, det M > 0, multiplies L*, A(U) and
 every area by det M, and leaves every gap over the ledger's scale
 unchanged.
+
+The equality cases are checked on both paths: a symmetric curve has
+gap_sym 0 and a constant-width curve gap_cw 0.  On the disc the Gram forms
+have Hurwitz's exact values, an oracle independent of both.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normplane import (Piece, build_ball, builtin_ball, curve_from_radius,
                        iso_ledger)
-from normplane.corpus import CORPUS_BALL_NAMES, convex_coefficients
+from normplane.corpus import (CORPUS_BALL_NAMES,
+                              constant_width_convex_coefficients,
+                              convex_coefficients,
+                              symmetric_convex_coefficients)
+from normplane.modes import modes_of
 
 # the power of the scale factor each term picks up; every other term is an
 # area or a gap, and picks up its square
@@ -152,3 +161,36 @@ def test_whole_piece_shift_on_a_regular_polygon_keeps_the_ledger(seed, k,
     j = data.draw(st.integers(1, 2 * k - 1))
     assert_scaled(*shifted_ledgers(builtin_ball("regular_2k_gon", k=k),
                                    seed, float(j)), 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=balls, seed=seeds)
+def test_equality_cases_close_their_gaps_on_both_paths(name, seed):
+    # a symmetric curve has no WC area and a constant-width curve no CWMS
+    # area, so their gaps vanish, in the node-table ledger and in the Gram
+    # ledger of the same coefficients alike
+    ball = builtin_ball(name)
+    for draw, gap in ((symmetric_convex_coefficients, "gap_sym"),
+                      (constant_width_convex_coefficients, "gap_cw")):
+        modes, c, basepoint = draw(ball, np.random.default_rng(seed))
+        led = iso_ledger(modes.curve(ball, c, basepoint))
+        assert abs(getattr(led, gap)) <= 1e-12 * led.scale, gap
+        gram = modes.ledger(c[None])
+        assert abs(gram[gap][0]) <= 1e-12 * gram["scale"][0], gap
+
+
+@pytest.mark.parametrize("kmax", [4, 8])
+def test_disc_gram_forms_are_hurwitz(kmax):
+    # on the disc, mode cos(k theta) or sin(k theta) is a radius of
+    # curvature with support function r / (1 - k^2), so the modes k != 1
+    # are orthogonal, with A = pi for k = 0 and -pi / (2 (k^2 - 1)) else,
+    # and only the constant mode has a dual length, 2 pi
+    modes = modes_of(builtin_ball("euclidean"), kmax)
+    k = np.concatenate([[0], np.repeat(np.arange(2, kmax + 1), 2)])
+    keep = np.concatenate([[0], np.arange(3, 2 * kmax + 1)])
+    want = np.diag(np.where(k == 0, np.pi, -np.pi / (2.0 * (k * k - 1.0))))
+    G = modes.gram.G[np.ix_(keep, keep)]
+    assert np.max(np.abs(G - want)) <= 1e-13
+    duals = np.zeros(2 * kmax + 1)
+    duals[0] = 2 * np.pi
+    assert np.max(np.abs(modes.duals - duals)) <= 1e-13

@@ -213,8 +213,8 @@ def _parent_report(curve):
 
 
 @pytest.mark.parametrize("which", ["example22", "circle_cos2"])
-def test_measure_report_reads_gamma_twice(which, example22, euclidean,
-                                          monkeypatch):
+def test_measure_report_reads_gamma_once(which, example22, euclidean,
+                                         monkeypatch):
     curve = example22 if which == "example22" else curve_from_radius(
         euclidean, "1.3+0.4*cos(pi*t)", basepoint=(0.3, -0.2))
     want = _parent_report(curve)
@@ -227,5 +227,6 @@ def test_measure_report_reads_gamma_twice(which, example22, euclidean,
 
     monkeypatch.setattr(AdmissibleCurve, "point", counted)
     got = measure_report(curve)
-    assert calls == [len(curve.sample_params(48))] * 2
+    # one read of gamma at ts and ts + T together
+    assert calls == [2 * len(curve.sample_params(48))]
     assert repr(got) == repr(want)
