@@ -16,8 +16,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import expressions as ex
-from .errors import (DegenerateDual, DegeneratePiece, NotClosed, NotConvex,
-                     NotSymmetric, UnknownBuiltin, ValidationError)
+from .errors import (DegenerateDual, DegeneratePiece, DomainError, NotClosed,
+                     NotConvex, NotSymmetric, UnknownBuiltin, ValidationError)
 from .quadrature import DEFAULT_CONFIG, gauss_legendre, integrate
 
 
@@ -26,6 +26,11 @@ def cross2(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def norm2(v):
+    """|v| on a last axis of 2, bit for bit np.linalg.norm(v, axis=-1)."""
+    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2)
 
 
 def following(a):
@@ -129,13 +134,17 @@ class Frame:
         x, w = gauss_legendre(n)
         self._ball = weakref.ref(ball)   # the ball caches its frames
         self.leaves, self.n = leaves, n
-        lo, hi = (np.concatenate([e, e + ball.T]) for e in np.array(leaves).T)
+        # the leaves tile the half period: each starts where the last ends
+        ends = np.array([lo for lo, _ in leaves] + [leaves[-1][1]])
+        lo, hi = (np.concatenate([e, e + ball.T])
+                  for e in (ends[:-1], ends[1:]))
         self.lo, self.mid, self.half = lo, 0.5 * (lo + hi), 0.5 * (hi - lo)
         self.t = self.mid[:, None] + self.half[:, None] * x
         self.weights = self.half[:, None] * w
-        self.piece = ball.piece_index(self.mid)
+        # a midpoint lies inside its piece, so no reduction or clip is needed
+        self.piece = ball.breaks.searchsorted(self.mid, side="right") - 1
         # the panels of piece i are first[i] .. first[i + 1] - 1
-        self.first = np.searchsorted(self.piece, np.arange(ball.n_pieces + 1))
+        self.first = self.piece.searchsorted(np.arange(ball.n_pieces + 1))
         self.u, self.du = ball.evaluate(self.piece[:, None], self.t,
                                         first=self.first)
         self.cross = cross2(self.u, self.du)
@@ -182,7 +191,8 @@ class UnitBall:
     Piece i runs over [t0[i], t1[i]].  A segment is held as rows: p0[i] +
     slope[i] (t - t0[i]) runs from p0[i] to p1[i].  arcs maps the index of
     every arc to its Piece; the rows of an arc are zero.  The pieces are
-    validated on construction, a segment at its ends; use :func:`build_ball`.
+    validated on construction, each value finite: a segment at its ends, on
+    its rows when all pieces are segments; use :func:`build_ball`.
     """
 
     def __init__(self, t0, t1, p0, p1, arcs):
@@ -207,22 +217,32 @@ class UnitBall:
         # a segment's ends decide its checks (u' and [u, u'] are constant,
         # |u| and |u(t) + u(t + T)| convex); arcs add the Gauss nodes
         n, T = self.n_half, self.T
-        x = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)[0] if arcs else []
-        ts = np.column_stack([t0, 0.5 * (t0 + t1)[:, None]
-                              + 0.5 * (t1 - t0)[:, None] * x, t1])
-        u, du, ddu = self.evaluate(np.arange(m)[:, None], ts, 2,
-                                   np.arange(m + 1))
-        seg = ~np.isin(np.arange(m), list(arcs))
-        u[seg, -1] = p1[seg]    # the vertex, not its rounded copy
+        if arcs:
+            x = gauss_legendre(DEFAULT_CONFIG.nodes_per_panel)[0]
+            ts = np.column_stack([t0, 0.5 * (t0 + t1)[:, None]
+                                  + 0.5 * (t1 - t0)[:, None] * x, t1])
+            u, du, ddu = self.evaluate(np.arange(m)[:, None], ts, 2,
+                                       np.arange(m + 1))
+            seg = ~np.isin(np.arange(m), list(arcs))
+            u[seg, -1] = p1[seg]    # the vertex, not its rounded copy
+            bent = ~seg & (cross2(du, ddu).min(axis=1) <= 0)
+            finite = np.isfinite(np.concatenate([u, du, ddu], -1)).all(-1)
+        else:   # the rows are the values at the ends
+            u, du, bent = (np.concatenate([p0, p1], axis=1).reshape(m, 2, 2),
+                           self.slope[:, None], False)
+            finite = np.isfinite(u).all(axis=-1)
+        if not finite.all():    # NaN fails every comparison below
+            i, j = np.unravel_index(finite.argmin(), finite.shape)
+            t = ts[i, j] if arcs else (t0, t1)[j][i]
+            raise DomainError(f"ball piece {i} is not finite at t={t:.17g}")
 
-        self.diameter = 2.0 * float(np.max(np.linalg.norm(u, axis=-1)))
+        self.diameter = 2.0 * float(norm2(u).max())
         if self.diameter == 0:
             raise ValidationError("degenerate ball")
         eps_reg = tol_geom = self.eps_reg = 1e-9 * self.diameter
 
-        slow = np.min(np.linalg.norm(du, axis=-1), axis=1) < eps_reg
-        inward = np.min(cross2(u, du), axis=1) <= eps_reg
-        bent = ~seg & (np.min(cross2(du, ddu), axis=1) <= 0)
+        slow = norm2(du).min(axis=1) < eps_reg
+        inward = cross2(u, du).min(axis=1) <= eps_reg
         faulty = slow | inward | bent
         if faulty.any():
             i = int(np.argmax(faulty))
@@ -241,7 +261,7 @@ class UnitBall:
         d = u[:, -1] - following(u[:, 0])
         x, y = d[:, 0], d[:, 1]
         gap2 = x * x + y * y
-        i = int(np.argmax(gap2))
+        i = int(gap2.argmax())
         gap = math.sqrt(gap2[i])
         if gap > tol_geom:
             where = "" if i == m - 1 else f" at t={t1[i]}"
@@ -251,7 +271,7 @@ class UnitBall:
         tol_t = 1e-9 * max(1.0, T)
         shifted = ((np.abs(t0[n:] - t0[:n] - T) > tol_t)
                    | (np.abs(t1[n:] - t1[:n] - T) > tol_t))
-        mismatch = np.max(np.linalg.norm(u[:n] + u[n:], axis=-1), axis=1)
+        mismatch = norm2(u[:n] + u[n:]).max(axis=1)
         unpaired = shifted | (mismatch > tol_geom)
         if unpaired.any():
             i = int(np.argmax(unpaired))
@@ -265,8 +285,7 @@ class UnitBall:
         vl = np.concatenate([du[-1:, -1], du[:-1, -1]])
         vr = du[:, 0]
         turn = cross2(vl, vr)
-        right = turn < -eps_reg * np.maximum(
-            1.0, np.linalg.norm(vl, axis=-1) * np.linalg.norm(vr, axis=-1))
+        right = turn < -eps_reg * np.maximum(1.0, norm2(vl) * norm2(vr))
         if right.any():
             raise NotConvex(
                 f"right turn at vertex t={t0[int(np.argmax(right))]}")
@@ -276,11 +295,12 @@ class UnitBall:
         index array that broadcasts against t: segments in one gather by
         coordinate, then each arc on its parameters, rows first[i] ..
         first[i + 1] - 1 if first is given (idx sorted), else a mask."""
-        s = t - self.t0[idx]
+        s = t - self.t0.take(idx)
+        p0, slope = self.p0.take(idx, axis=0), self.slope.take(idx, axis=0)
         u, du = np.empty(s.shape + (2,)), np.empty(s.shape + (2,))
         for j in (0, 1):
-            du[..., j] = self.slope[idx, j]
-            u[..., j] = self.p0[idx, j] + du[..., j] * s
+            du[..., j] = slope[..., j]
+            u[..., j] = p0[..., j] + du[..., j] * s
         out = [u, du, np.zeros(u.shape) if order == 2 else None][:order + 1]
         for i, p in self.arcs.items():
             on = idx == i if first is None else slice(first[i], first[i + 1])
@@ -331,7 +351,7 @@ class UnitBall:
         """Dual-ball point v(t) = u'(t) / [u(t), u'(t)]."""
         u, du = self._at(t, 1)
         denom = cross2(u, du)
-        if np.any(np.abs(denom) < self.eps_reg):
+        if (np.abs(denom) < self.eps_reg).any():
             raise DegenerateDual("[u, u'] vanishes")
         return du / np.asarray(denom)[..., None]
 
@@ -340,11 +360,11 @@ class UnitBall:
         r u'.
 
         radius(idx, t) gives r at parameters t on the pieces idx, an index
-        array of t's shape.  It may return trailing axes, several radii at
-        once, and the panels then resolve all of them.  Piece i and its
-        antipode i + n share one panel layout, chosen on both radii at
-        once.  Frames are cached by layout, so curves whose panels agree
-        share one Frame object.
+        array of t's shape, sorted, so each piece's parameters are a slice.
+        It may return trailing axes, several radii at once, and the panels
+        then resolve all of them.  Piece i and its antipode i + n share one
+        panel layout, chosen on both radii at once.  Frames are cached by
+        layout, so curves whose panels agree share one Frame object.
         """
         n, T = self.n_half, self.T
         starts = self.breaks[:n + 1]
@@ -353,18 +373,18 @@ class UnitBall:
         def f(s):
             # the nodes of the open panels come in increasing order, so the
             # nodes on each piece form one slice
-            cut = np.searchsorted(s, starts)
-            idx = np.repeat(np.arange(n), np.diff(cut))
-            r = np.stack([radius(idx, s), radius(idx + n, s + T)], axis=-1)
-            du = [self.slope[idx, j] for j in (0, 1)]
+            cut = s.searchsorted(starts)
+            idx = np.arange(n).repeat(cut[1:] - cut[:-1])
+            du = self.slope.take(idx, axis=0)
             for i in arcs:
-                span = slice(cut[i], cut[i + 1])
-                if span.start < span.stop:
-                    v = self.arcs[i].velocity(s[span])
-                    du[0][span], du[1][span] = v[:, 0], v[:, 1]
-            out = np.empty(r.shape + (2,))
-            for j in (0, 1):
-                out[..., j] = r * du[j].reshape((-1,) + (1,) * (r.ndim - 1))
+                if cut[i] < cut[i + 1]:
+                    du[cut[i]:cut[i + 1]] = self.arcs[i].velocity(
+                        s[cut[i]:cut[i + 1]])
+            r = radius(idx, s), radius(idx + n, s + T)
+            # one product per half and coordinate: a length-2 broadcast is slow
+            out = np.empty(r[0].shape + (2, 2))
+            for h, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                np.multiply(r[h].T, du[:, j], out=out[..., h, j].T)
             return out
 
         leaves = []

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import expressions as ex
+from .ball import norm2
 from .errors import DomainError, NotAdmissible, NotClosed
 from .quadrature import DEFAULT_CONFIG, gauss_legendre, legendre_operators
 
@@ -94,9 +95,11 @@ class NodeTable:
 
     def __init__(self, frame, r, basepoint):
         self.frame, self.r = frame, r
-        g = r[..., None] * frame.du
-        ends = basepoint + np.cumsum(
-            np.einsum("pk,pkd->pd", frame.weights, g), axis=0)
+        g = np.empty(frame.du.shape)   # r u', one product per coordinate
+        for j in (0, 1):
+            np.multiply(r, frame.du[..., j], out=g[..., j])
+        ends = basepoint + np.einsum("pk,pkd->pd", frame.weights,
+                                     g).cumsum(axis=0)
         self.start = np.concatenate([[basepoint], ends[:-1]])
         self.gap = ends[-1] - basepoint
 
@@ -163,14 +166,16 @@ class NodeTable:
         return np.concatenate([self.start, self.gamma.reshape(-1, 2)])
 
     def radius_samples(self):
-        """(params, r) along the period: each panel's left end, its nodes
-        and its right end, the ends from the panel's Legendre series."""
+        """r along the period: each panel's left end, its nodes and its
+        right end, the ends from the panel's Legendre series."""
         signs = (-1.0) ** np.arange(self._r_coef.shape[1])
+        return np.column_stack([self._r_coef @ signs, self.r,
+                                self._r_coef.sum(axis=1)]).ravel()
+
+    def _sample_ts(self):
+        """The parameters of radius_samples."""
         f = self.frame
-        ts = np.column_stack([f.lo, f.t, f.lo + 2.0 * f.half])
-        r = np.column_stack([self._r_coef @ signs, self.r,
-                             self._r_coef.sum(axis=1)])
-        return ts.ravel(), r.ravel()
+        return np.column_stack([f.lo, f.t, f.lo + 2.0 * f.half]).ravel()
 
 
 def bbox_diameter(points):
@@ -194,9 +199,9 @@ def convexity_sign(r):
     """Per row of radius samples r: +1 or -1 when it keeps that sign,
     0 when it takes both beyond 1e-10 of its largest magnitude (an all-zero
     row, a point curve, counts as +1)."""
-    eps = 1e-10 * np.max(np.abs(r), axis=-1, keepdims=True)
-    pos = np.any(r > eps, axis=-1)
-    neg = np.any(r < -eps, axis=-1)
+    lo, hi = r.min(axis=-1), r.max(axis=-1)
+    eps = 1e-10 * np.maximum(-lo, hi)
+    pos, neg = hi > eps, lo < -eps
     return np.where(pos & neg, 0, np.where(pos | ~neg, 1, -1))
 
 
@@ -227,7 +232,7 @@ class AdmissibleCurve:
         self._table = table or self._tabulate()
 
         self.closure_gap = self._table.gap
-        self.closure_residual = float(np.linalg.norm(self.closure_gap))
+        self.closure_residual = float(norm2(self.closure_gap))
 
         if check_closure:
             tol = closure_tol(self.closure_residual, ball,
@@ -248,7 +253,7 @@ class AdmissibleCurve:
         takes them: the constants in one gather by piece, then each callable
         through its sampler on its own piece's parameters."""
         r = np.empty(np.shape(t))
-        r[...] = self._const[idx]
+        r[...] = self._const.take(idx)
         for i, fn in self._fns.items():
             on = idx == i if first is None else slice(first[i], first[i + 1])
             ti = t[on]
@@ -258,7 +263,11 @@ class AdmissibleCurve:
 
     def _tabulate(self):
         """The NodeTable on the panels that quad accepts for the radii."""
-        frame = self.ball.frame(self.quad, self._radius_at)
+        pieces = np.arange(self.ball.n_pieces + 1)
+
+        def sliced(idx, t):     # the frame's idx is sorted
+            return self._radius_at(idx, t, idx.searchsorted(pieces))
+        frame = self.ball.frame(self.quad, sliced)
         return NodeTable(frame, self._radius_at(frame.piece[:, None], frame.t,
                                                 frame.first), self.basepoint)
 
@@ -376,10 +385,10 @@ def curve_from_explicit(ball, pieces, quad=DEFAULT_CONFIG):
         g = np.stack([dx(ts), dy(ts)], axis=-1)
         du = bp.velocity(ts)
         r = r_fn(ts)
-        resid = np.linalg.norm(g - r[:, None] * du, axis=-1)
-        speed = np.linalg.norm(g, axis=-1)
-        scale = max(float(np.max(speed)), 1e-300)
-        if np.any(resid > 1e-8 * (speed + 1e-12 * scale)):
+        resid = norm2(g - r[:, None] * du)
+        speed = norm2(g)
+        scale = max(float(speed.max()), 1e-300)
+        if (resid > 1e-8 * (speed + 1e-12 * scale)).any():
             worst = float(ts[np.argmax(resid / (speed + 1e-12 * scale))])
             raise NotAdmissible(
                 f"gamma' is not parallel to u' near t={worst:.6g}")
@@ -404,19 +413,18 @@ class ConvexityResult:
 def is_convex(curve):
     """Classify by the sign pattern of the curvature radius at the nodes
     and panel ends of the curve's node table."""
-    ts, r = curve.table().radius_samples()
+    r = curve.table().radius_samples()
     sign = int(convexity_sign(r))
     if sign:
         return ConvexityResult(True, sign, None)
     flip = int(np.argmax(np.abs(np.diff(np.sign(r)))))
-    return ConvexityResult(False, 0, float(ts[flip]))
+    return ConvexityResult(False, 0, float(curve.table()._sample_ts()[flip]))
 
 
 def convexifying_shift(curve):
     """Smallest K >= 0 (at the table's nodes and panel ends) with
     min r + K >= 0."""
-    _, r = curve.table().radius_samples()
-    return float(max(0.0, -np.min(r)))
+    return float(max(0.0, -curve.table().radius_samples().min()))
 
 
 def shifted_by_ball(curve, K):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ball import build_ball, cross2, following
+from .ball import build_ball, cross2, following, norm2
 from .curve import AdmissibleCurve, is_convex
 from .decomp import decompose
 from .errors import (DegenerateIntersection, EmbeddingFailed,
@@ -115,10 +115,13 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise ValidationError("polygon needs at least 3 vertices")
+        finite = np.isfinite(verts).all(axis=-1)   # NaN passes the CCW test
+        if not finite.all():
+            raise ValidationError(f"vertex {finite.argmin()} is not finite")
         if self.unit_normals is not None:
             return
         turns = cross2(self.edges, following(self.edges))
-        if np.any(turns <= 0):
+        if (turns <= 0).any():
             raise ValidationError(
                 "vertices are not in strictly convex CCW position")
 
@@ -135,14 +138,14 @@ class Polygon:
     def edges(self):
         return following(self.vertices) - self.vertices
 
-    @property
+    @cached_property
     def normals(self):
         """Unit outward normals, one per edge."""
         if self.unit_normals is not None:
             return self.unit_normals
         e = self.edges
-        n = np.stack([e[:, 1], -e[:, 0]], axis=-1)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+        n = e[:, ::-1] * (1.0, -1.0)
+        return n / norm2(n)[:, None]
 
     @property
     def area(self):
@@ -161,12 +164,13 @@ def _tangent_polygon(normals):
     boundary lines meet in exactly the polygon's vertices.
     """
     angles = np.arctan2(normals[:, 1], normals[:, 0])
-    order = np.argsort(angles)
+    order = angles.argsort()
     normals = normals[order]
     angles = angles[order]
     # neighbouring normals must span less than a half turn
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-    if np.any(gaps >= np.pi - 1e-12):
+    wide = np.pi - 1e-12
+    if (angles[0] + 2 * np.pi - angles[-1] >= wide
+            or (angles[1:] - angles[:-1] >= wide).any()):
         raise DegenerateIntersection(
             "normals leave a half-plane uncovered; intersection is unbounded")
     nxt = following(normals)
@@ -180,13 +184,11 @@ def _tangent_polygon(normals):
     # n1.x = 1 and n2.x = 1 meet on the bisector of the unit normals, at
     # (n1 + n2) / (1 + n1.n2), which stays accurate for nearly parallel
     # normals; Cramer's rule does for normals more than a right angle apart
-    dot = np.sum(normals * nxt, axis=-1)
-    near = dot >= 0
-    verts = np.empty_like(normals)
-    verts[near] = (normals[near] + nxt[near]) / (1.0 + dot[near, None])
-    verts[~near] = (np.column_stack([nxt[~near, 1] - normals[~near, 1],
-                                     normals[~near, 0] - nxt[~near, 0]])
-                    / det[~near, None])
+    dot = normals[:, 0] * nxt[:, 0] + normals[:, 1] * nxt[:, 1]
+    verts = (normals + nxt) / (1.0 + dot)[:, None]
+    if (dot < 0).any():
+        cramer = (nxt - normals)[:, ::-1] * (1.0, -1.0) / det[:, None]
+        verts = np.where((dot >= 0)[:, None], verts, cramer)
     # the edge from vertex i to vertex i + 1 lies on line i + 1
     return Polygon(verts, unit_normals=nxt)
 
@@ -198,9 +200,9 @@ def _dedupe_normals(normals, tol=1e-12):
     the result holds -n exactly for every n in it."""
     theta = np.arctan2(normals[:, 1], normals[:, 0])
     line = np.mod(theta, np.pi)
-    order = np.argsort(line)
+    order = line.argsort()
     line = line[order]
-    keep = np.concatenate([[True], np.diff(line) > tol])
+    keep = np.concatenate([[True], line[1:] - line[:-1] > tol])
     # the last run may wrap around onto the first
     if keep.sum() > 1 and line[0] + np.pi - line[keep][-1] <= tol:
         keep[0] = False
@@ -222,8 +224,8 @@ def symmetrize_polygon(K1):
     DegenerateIntersection.
     """
     K1_0 = _tangent_polygon(_dedupe_normals(K1.normals))
-    sides = np.linalg.norm(K1_0.edges, axis=-1)
-    diameter = 2.0 * np.max(np.linalg.norm(K1_0.vertices, axis=-1))
+    sides = norm2(K1_0.edges)
+    diameter = 2.0 * norm2(K1_0.vertices).max()
     short = sides < 2e-9 * diameter
     if short.any():
         i = int(np.argmax(short))
@@ -278,26 +280,23 @@ def embed_polygon(K, ball_poly, ball=None):
     if ball is None:
         ball = polygon_ball(ball_poly)
     ball_normals = ball_poly.normals
-    ball_edges = ball_poly.edges
-    k_normals = K.normals
-    k_edges = K.edges
-
-    dots = k_normals @ ball_normals.T
-    # [m, n] for every ball normal m and K normal n
-    sines = (k_normals[:, ::-1] * (1.0, -1.0)) @ ball_normals.T
-    match = np.argmin(np.abs(np.arctan2(sines, dots)), axis=1)
-    unmatched = dots[np.arange(len(match)), match] < 1.0 - 1e-9
+    m = len(ball_normals)
+    # cs[k, j] and cs[k, m + j]: the dot and cross products [b_j, n_k] of
+    # K normal k with ball normal j, in one product
+    turned = ball_normals[:, ::-1] * (-1.0, 1.0)
+    cs = K.normals @ np.concatenate([ball_normals, turned]).T
+    match = np.abs(np.arctan2(cs[:, m:], cs[:, :m])).argmin(axis=1)
+    unmatched = cs[np.arange(len(match)), match] < 1.0 - 1e-9
     if unmatched.any():
         raise EmbeddingFailed(
             f"edge {int(np.argmax(unmatched))} of K has no parallel ball "
             "edge; the construction guarantees one, so this indicates a bug")
-    radii = np.bincount(match, weights=np.linalg.norm(k_edges, axis=-1)
-                        / np.linalg.norm(ball_edges[match], axis=-1),
-                        minlength=len(ball_edges))
+    radii = np.bincount(match, weights=norm2(K.edges)
+                        / norm2(ball_poly.edges)[match], minlength=m)
     # the curve starts where the first K edge on the first matched piece
     # does; a run of merged edges may wrap past the end of the list
     first = match == match.min()
-    start = int(np.argmax(first & ~np.concatenate([first[-1:], first[:-1]])))
+    start = int((first & ~np.concatenate([first[-1:], first[:-1]])).argmax())
     return AdmissibleCurve(ball, radii, K.vertices[start])
 
 
@@ -315,8 +314,8 @@ def lhuilier_check(K):
     led = ledger_terms(L, A_ball, A_K, 0.0, 0.0)
     # equality iff the radius is the same constant on every piece
     r = gamma.table().r
-    spread = float(np.max(r) - np.min(r))
-    equality = spread <= 1e-8 * max(float(np.max(np.abs(r))), 1e-300)
+    lo, hi = r.min(), r.max()
+    equality = float(hi - lo) <= 1e-8 * max(float(max(-lo, hi)), 1e-300)
     return LhuilierReport(
         K=K, K1=K1, K1_0=K1_0,
         dual_length=L, area_K=A_K, area_K1_0=A_ball,

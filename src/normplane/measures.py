@@ -112,7 +112,7 @@ def shoelace_area(points):
     """Signed polygon area of an ordered point list (shoelace formula)."""
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * following(y) - following(x) * y))
+    return 0.5 * float((x * following(y) - following(x) * y).sum())
 
 
 def polygonal_area(curve, n_points=100_000):

@@ -155,7 +155,7 @@ class Modes(Forms):
         for k in range(m):
             table = NodeTable(frame, self.nodes[..., k], np.zeros(2))
             knots[k] = table.knots()
-            samples[:, k] = table.radius_samples()[1]
+            samples[:, k] = table.radius_samples()
         # Q[j, k] = 1/2 sum of w [gamma_j, r_k u'] over the nodes, gamma_j
         # the knots after the panel starts
         gamma = knots[:, P:].reshape((m,) + frame.du.shape)

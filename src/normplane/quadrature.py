@@ -51,7 +51,7 @@ def panel(f, a, b, n):
     ts = (0.5 * (a + b))[..., None] + half[..., None] * x
     vals = np.asarray(f(ts.ravel()), dtype=float)
     tail = vals.shape[1:]
-    sums = w @ vals.reshape((-1, n, int(np.prod(tail))))
+    sums = w @ vals.reshape((-1, n, vals[0].size))
     return (half.reshape(-1, 1) * sums).reshape(a.shape + tail)
 
 
@@ -69,7 +69,8 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     When leaves is a list, the accepted panels are appended to it as
     (lo, hi) pairs, interval by interval and each in increasing order; the
     integral is the sum of the nodes_per_panel-point rule over exactly
-    those panels, added in the order of the halving tree.
+    those panels, added in the order of the halving tree.  If level 0
+    accepts all, as for a polygon, its halves are the leaves, in order.
     """
     scalar = np.ndim(a) == 0
     lo = np.atleast_1d(np.asarray(a, dtype=float))
@@ -85,8 +86,9 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     levels = []   # per level: owner, a, m, b, accepted, value
     for depth in range(quad.max_depth + 1):
         m = 0.5 * (a + b)
-        halves = panel(f, np.column_stack([a, m]).ravel(),
-                       np.column_stack([m, b]).ravel(), n)
+        left, right = (np.column_stack([a, m]).ravel(),
+                       np.column_stack([m, b]).ravel())
+        halves = panel(f, left, right, n)
         refined = halves[0::2] + halves[1::2]
         flat = (len(a), -1)
         err = np.abs(whole - refined).reshape(flat).max(axis=1)
@@ -112,13 +114,14 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
         value = refined
     total = np.zeros(lo.shape + value.shape[1:])
     total[levels[0][0]] = value
-    if leaves is not None:
+    if leaves is not None and len(levels) > 1:
         owner, a, m, b = (np.concatenate([lv[j][lv[4]] for lv in levels])
                           for j in range(4))
         order = np.lexsort((a, owner))
         ends = np.column_stack([a, m, b])[order]
-        leaves += zip(ends[:, :2].ravel().tolist(),
-                      ends[:, 1:].ravel().tolist())
+        left, right = ends[:, :2].ravel(), ends[:, 1:].ravel()
+    if leaves is not None:
+        leaves += zip(left.tolist(), right.tolist())
     return total[0] if scalar else total
 
 

@@ -6,8 +6,9 @@ from normplane import (Piece, build_ball, builtin_ball,
                        mixed_area, signed_area, symmetrize_polygon)
 from normplane import expressions as ex
 from normplane.corpus import random_convex_polygon
-from normplane.errors import (DegeneratePiece, NotClosed, NotConvex,
-                              NotSymmetric, UnknownBuiltin, ValidationError)
+from normplane.errors import (DegeneratePiece, DomainError, NotClosed,
+                              NotConvex, NotSymmetric, UnknownBuiltin,
+                              ValidationError)
 
 from conftest import EXAMPLE22_RADII
 
@@ -229,6 +230,29 @@ class TestValidationErrors:
         half = [Piece.arc("(1+0.4*cos(8*pi*t))*cos(pi/2*t)",
                           "(1+0.4*cos(8*pi*t))*sin(pi/2*t)", 0, 2)]
         with pytest.raises(NotConvex):
+            build_ball(half, auto_symmetrize=True)
+
+    def test_non_finite_vertex(self):
+        # NaN fails every comparison, so no other check would catch it
+        verts = np.array([(1, -1), (1, np.nan), (-1, 1), (-1, -1)])
+        with pytest.raises(DomainError) as info:
+            build_ball(verts)
+        assert str(info.value) == "ball piece 0 is not finite at t=1"
+        pieces = [Piece.segment(verts[i], verts[(i + 1) % 4], i, i + 1)
+                  for i in range(4)]
+        with pytest.raises(DomainError, match="piece 0 .* at t=1$"):
+            build_ball(pieces)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arc_leaving_its_domain(self):
+        half = [Piece.arc("cos(pi/2*t)", "sin(pi/2*t)+sqrt(t-0.5)", 0, 1),
+                Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", 1, 2)]
+        with pytest.raises(DomainError) as info:
+            build_ball(half, auto_symmetrize=True)
+        assert str(info.value) == "ball piece 0 is not finite at t=0"
+        # a derivative that is infinite where the value is finite
+        half[0] = Piece.arc("cos(pi/2*t)", "sin(pi/2*t)+sqrt(t)", 0, 1)
+        with pytest.raises(DomainError, match="piece 0 .* at t=0$"):
             build_ball(half, auto_symmetrize=True)
 
     def test_degenerate_piece(self):

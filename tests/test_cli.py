@@ -209,6 +209,14 @@ class TestLhuilier:
         res = run_cli("lhuilier", p)
         assert res.returncode == 1
 
+    def test_nan_vertex_rejected(self, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('{"vertices": [[0, 0], [1, 0], [NaN, 1]]}')
+        res = run_cli("lhuilier", str(p))
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1]) == {
+            "error": "ValidationError", "detail": "vertex 2 is not finite"}
+
 
 class TestCorpus:
     def test_clean_run(self, tmp_path):

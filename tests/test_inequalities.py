@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normplane import (Polygon, circumscribed_parallel_polygon,
                        curve_from_radius, embed_polygon, iso_ledger,
@@ -83,6 +85,12 @@ class TestPolygon:
             Polygon([(0, 0), (0, 1), (1, 0)])
         with pytest.raises(ValidationError):
             Polygon([(0, 0), (1, 0), (2, 0), (0, 1)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_is_named(self, bad):
+        # NaN fails the convexity test, which would let the polygon through
+        with pytest.raises(ValidationError, match="^vertex 2 is not finite$"):
+            Polygon([(0, 0), (1, 0), (bad, 1)])
 
     def test_edges_are_computed_once_without_roll(self, monkeypatch):
         v = np.random.default_rng(5).normal(size=(9, 2))
@@ -333,3 +341,63 @@ def test_near_degenerate_sweep():
         assert rep.gap >= -1e-9 * rep.scale, name
         per = float(np.sum(np.linalg.norm(K.edges, axis=-1)))
         assert abs(rep.dual_length - per) <= 1e-12 * per, name
+
+
+# -- the maps the construction respects -------------------------------------
+
+def _drawn_polygon(seed, symmetral):
+    """A jittered-ellipse polygon of 3 to 48 vertices, or a multiple of its
+    K1^0, an equality case."""
+    rng = np.random.default_rng(seed)
+    K = Polygon(_ellipse_polygon(rng, int(rng.integers(3, 49)),
+                                 rng.uniform(1.0, 4.0)))
+    if symmetral:
+        K1_0 = symmetrize_polygon(circumscribed_parallel_polygon(K))
+        K = Polygon(rng.uniform(0.5, 2.0) * K1_0.vertices)
+    return K
+
+
+def _rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+def _assert_scaled(got, want, c):
+    """got is the report of want's polygon scaled by c and moved rigidly:
+    L*, A(K), A(K1^0) and the gap are c, c^2, 1 and c^2 times want's.
+    Areas and the gap are measured against the report's scale, L* against
+    2 sqrt(A(K1^0) scale), the largest L* that scale admits, and A(K1^0)
+    against itself; L* is K's perimeter in both."""
+    for rep in (got, want):
+        per = float(np.sum(np.linalg.norm(rep.K.edges, axis=-1)))
+        assert abs(rep.dual_length - per) <= 1e-12 * per
+    scale = want.scale
+    length = 2.0 * np.sqrt(want.area_K1_0 * scale)
+    assert (abs(got.dual_length - c * want.dual_length)
+            <= 1e-12 * c * length)
+    assert abs(got.area_K1_0 - want.area_K1_0) <= 1e-12 * want.area_K1_0
+    for name in ("area_K", "gap"):
+        err = abs(getattr(got, name) - c * c * getattr(want, name))
+        assert err <= 1e-12 * c * c * scale, name
+    assert got.equality == want.equality
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), symmetral=st.booleans(),
+       a=st.floats(0.0, 2 * np.pi),
+       v=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_lhuilier_report_is_invariant_under_rigid_motions(seed, symmetral,
+                                                          a, v):
+    K = _drawn_polygon(seed, symmetral)
+    want = lhuilier_check(K)
+    assert want.equality == symmetral
+    got = lhuilier_check(Polygon(K.vertices @ _rotation(a).T + v))
+    _assert_scaled(got, want, 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), symmetral=st.booleans(),
+       c=st.floats(0.1, 10.0))
+def test_lhuilier_report_scales_with_the_polygon(seed, symmetral, c):
+    K = _drawn_polygon(seed, symmetral)
+    _assert_scaled(lhuilier_check(Polygon(c * K.vertices)), lhuilier_check(K),
+                   c)
