@@ -169,10 +169,10 @@ class Frame:
         return np.array([span[0][0]] + [hi for _, hi in span])
 
     def integral(self, values):
-        """The quadrature sum of values at the nodes, shape (P, n, ...): the
-        product np.tensordot(weights, values, 2) forms, without its set-up."""
-        w = self.weights.reshape(1, -1)
-        return np.dot(w, values.reshape(w.size, -1)).reshape(values.shape[2:])
+        """The quadrature sum over the trailing (P, n) axes of values at the
+        nodes: one dot product with the weights per leading index."""
+        w = self.weights.ravel()
+        return (values.reshape(values.shape[:-2] + (1, w.size)) @ w)[..., 0]
 
     def locate(self, t, piece=None):
         """Panel index and position in [-1, 1] of each reduced parameter,

@@ -180,6 +180,8 @@ def corpus(seed, count, out_dir, inject_bug):
     """Aggregate property checks over random curves; exit 2 on violation."""
 
     def run():
+        if seed < 0:
+            raise ValidationError(f"--seed must be non-negative, got {seed}")
         from .corpus import run_corpus
         report = run_corpus(seed, count, inject_bug=inject_bug)
         _emit(report, out_dir, "corpus.json")

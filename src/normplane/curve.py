@@ -85,28 +85,30 @@ class NodeValues:
 
 
 class NodeTable:
-    """A curve's radius r and points gamma at the nodes of one Frame.
+    """Radius rows r, shape (..., P, n), and points gamma at the nodes of
+    one Frame, each row a curve from its basepoint, shape (..., 2).
 
-    start holds gamma at each panel's left end, gap the displacement over
-    one period (zero for a closed curve).  Between nodes, r is each panel's
-    Legendre interpolant and gamma the integral of that of r u'.  gamma at
-    the nodes, L*, A(gamma) and the series are built on first use.
+    g = r u' is formed once; its panel sums give start, gamma at each
+    panel's left end, and gap, the displacement over one period.  Each row
+    equals its one-row table bit for bit.  Between nodes, r and gamma are
+    the panels' Legendre series (points, radius and area take one row).
     """
 
     def __init__(self, frame, r, basepoint):
         self.frame, self.r = frame, r
-        g = np.empty(frame.du.shape)   # r u', one product per coordinate
+        g = self.g = np.empty(r.shape + (2,))   # one product per coordinate
         for j in (0, 1):
             np.multiply(r, frame.du[..., j], out=g[..., j])
-        ends = basepoint + np.einsum("pk,pkd->pd", frame.weights,
-                                     g).cumsum(axis=0)
-        self.start = np.concatenate([[basepoint], ends[:-1]])
-        self.gap = ends[-1] - basepoint
+        base = basepoint[..., None, :]
+        ends = base + np.einsum("pk,...pkd->...pd", frame.weights,
+                                g).cumsum(axis=-2)
+        self.start = np.concatenate([base, ends[..., :-1, :]], axis=-2)
+        self.gap = ends[..., -1, :] - basepoint
 
     @cached_property
     def dual_length(self):
         """L*, the integral of r [u, u'] over the period."""
-        return float(self.frame.integral(self.r * self.frame.cross))
+        return self.frame.integral(self.r * self.frame.cross)
 
     @cached_property
     def area(self):
@@ -115,23 +117,22 @@ class NodeTable:
 
     @cached_property
     def gamma(self):
-        """gamma at the nodes, shape (P, n, 2)."""
-        f, C = self.frame, legendre_operators(self.frame.n)[2]
-        return self.start[:, None] + f.half[:, None, None] * (
-            C @ (self.r[..., None] * f.du))
+        """gamma at the nodes, shape (..., P, n, 2)."""
+        f = self.frame
+        return self.start[..., None, :] + f.half[:, None, None] * (
+            legendre_operators(f.n)[2] @ self.g)
 
     @cached_property
     def _gamma_coef(self):
-        """Legendre coefficients of gamma per panel, shape (P, n + 1, 2)."""
+        """Legendre coefficients of gamma per panel, (..., P, n + 1, 2)."""
         f = self.frame
-        g = self.r[..., None] * f.du
-        coef = f.half[:, None, None] * (legendre_operators(f.n)[1] @ g)
-        coef[:, 0] += self.start
+        coef = f.half[:, None, None] * (legendre_operators(f.n)[1] @ self.g)
+        coef[..., 0, :] += self.start
         return coef
 
     @cached_property
     def _r_coef(self):
-        """Legendre coefficients of r per panel, shape (P, n)."""
+        """Legendre coefficients of r per panel, shape (..., P, n)."""
         return self.r @ legendre_operators(self.frame.n)[0].T
 
     def _series(self, coef, t, piece=None):
@@ -162,15 +163,17 @@ class NodeTable:
             frame.t.ravel()).reshape(frame.t.shape + (2,))
 
     def knots(self):
-        """gamma at every panel start, then at every node, shape (N, 2)."""
-        return np.concatenate([self.start, self.gamma.reshape(-1, 2)])
+        """gamma at every panel start, then at every node, (..., N, 2)."""
+        return np.concatenate([self.start, self.gamma.reshape(
+            self.start.shape[:-2] + (-1, 2))], axis=-2)
 
     def radius_samples(self):
-        """r along the period: each panel's left end, its nodes and its
-        right end, the ends from the panel's Legendre series."""
-        signs = (-1.0) ** np.arange(self._r_coef.shape[1])
-        return np.column_stack([self._r_coef @ signs, self.r,
-                                self._r_coef.sum(axis=1)]).ravel()
+        """r along the period, (..., N): each panel's left end, its nodes
+        and its right end, the ends from the panel's Legendre series."""
+        c = self._r_coef
+        lo, hi = c @ (-1.0) ** np.arange(c.shape[-1]), c.sum(axis=-1)
+        return np.concatenate([lo[..., None], self.r, hi[..., None]],
+                              axis=-1).reshape(c.shape[:-2] + (-1,))
 
     def _sample_ts(self):
         """The parameters of radius_samples."""

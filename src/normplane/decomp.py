@@ -7,9 +7,9 @@ Every admissible curve splits as
 where WC is the midpoint curve (gamma(t) + gamma(t+T)) / 2 (a T-periodic
 loop, traversed twice over one full period), CWMS is the symmetric part
 (gamma(t) - gamma(t+T) - w u(t)) / 2, and w is the mean width.  Both are
-admissible curves whose radius tables, (r(t) -+ r(t+T)) / 2 (minus w / 2
-for CWMS), are formed from the curve's own node table as the two rows of
-one stacked array.
+admissible curves whose radii, (r(t) -+ r(t+T)) / 2 (minus w / 2 for
+CWMS), are formed from the curve's own node table as the two rows of one
+NodeTable on its frame.
 """
 
 from __future__ import annotations
@@ -19,20 +19,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .curve import closure_tol
+from .ball import norm2
+from .curve import NodeTable, closure_tol
 from .errors import DecompositionResidual
 from .measures import dual_length, mean_width
-from .quadrature import legendre_operators
 
 
 def _split(table, w):
     """The WC and CWMS radius rows R = [(r - r(t+T)) / 2,
     (r + r(t+T) - w) / 2] at the nodes of the table's frame, shape
     (2, P, n), and the points that start their first panels, shape (2, 2).
-
-    Panel p + P/2 of a frame is panel p shifted by T, so r(t + T) is r with
-    its halves swapped, and gamma(t0) and gamma(t0 + T) start the first
-    panels of the two halves."""
+    Panel p + P/2 is panel p shifted by T, so r(t + T) is r with its halves
+    swapped, and gamma(t0 + T) starts the first panel of the second half."""
     r, start, h = table.r, table.start, len(table.r) // 2
     rT = np.concatenate([r[h:], r[:h]])
     R = 0.5 * np.stack([r - rT, r + rT - w])
@@ -92,13 +90,11 @@ class DecompositionResult:
 def decompose(curve):
     """Split a curve into WC + CWMS + (w/2) u and verify the identity.
 
-    Both parts' tables come from one pass over the stacked radius rows of
-    _split: their panel starts from one weighted and one cumulative sum,
-    their node values from one Legendre product, and their areas from
-    Frame.mixed_area.  The identity is checked at every panel start and
-    node of the curve's table, against 1e-9 of the ball's diameter, and of
-    the curve's only when the residual exceeds that.  No curve is built:
-    wc and cwms are made on first access.
+    Both parts are the rows of one NodeTable over the radius rows of
+    _split; their areas are summed a row at a time by Frame.mixed_area.
+    The identity is checked at every knot of the curve's table, against
+    1e-9 of the ball's diameter, and of the curve's only when the residual
+    exceeds that.  No curve is built: wc and cwms are made on first access.
 
     The Wigner caustic is T-periodic, so its signed area over the full
     parameter period counts the loop twice; wc_area reports the
@@ -109,20 +105,14 @@ def decompose(curve):
     f = table.frame
     w = mean_width(curve)
     R, base = _split(table, w)
-
-    g = R[..., None] * f.du
-    ends = base[:, None] + np.cumsum(
-        np.einsum("pk,spkd->spd", f.weights, g), axis=1)
-    start = np.concatenate([base[:, None], ends[:, :-1]], axis=1)
-    gamma = start[:, :, None] + f.half[:, None, None] * (
-        legendre_operators(f.n)[2] @ g)
+    parts = NodeTable(f, R, base)
 
     # the identity at every panel start and node of the table
+    start, gamma = parts.start, parts.gamma
     d = np.concatenate([
         table.start - (start[0] + start[1] + 0.5 * w * f.u_lo),
         (table.gamma - (gamma[0] + gamma[1] + 0.5 * w * f.u)).reshape(-1, 2)])
-    x, y = d[:, 0], d[:, 1]
-    residual = float(np.sqrt(np.max(x * x + y * y)))
+    residual = float(norm2(d).max())
     tol = closure_tol(residual, curve.ball, lambda: curve.diameter, 1e-9)
     if residual > tol:
         raise DecompositionResidual(

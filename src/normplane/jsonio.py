@@ -45,6 +45,13 @@ def _load(doc_or_path):
     return doc_or_path
 
 
+def _get(doc, key, where):
+    """doc[key], or a ValidationError naming the key and where it is."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(f"{where} has no {key!r}")
+    return doc[key]
+
+
 def ball_from_doc(doc):
     if isinstance(doc, str):
         return builtin_ball(doc)
@@ -52,15 +59,14 @@ def ball_from_doc(doc):
         params = {k: v for k, v in doc.items() if k != "builtin"}
         return builtin_ball(doc["builtin"], **params)
     pieces = []
-    for pd in doc["pieces"]:
-        kind = pd.get("kind")
-        if kind == "arc":
-            pieces.append(Piece.arc(pd["x"], pd["y"], pd["t0"], pd["t1"]))
-        elif kind == "segment":
-            pieces.append(Piece.segment(pd["p0"], pd["p1"],
-                                        pd["t0"], pd["t1"]))
-        else:
+    for i, pd in enumerate(_get(doc, "pieces", "ball")):
+        kind = _get(pd, "kind", f"ball piece {i}")
+        if kind not in ("arc", "segment"):
             raise ValidationError(f"unknown piece kind {kind!r}")
+        arc = kind == "arc"
+        args = [_get(pd, key, f"ball piece {i}") for key in
+                (("x", "y") if arc else ("p0", "p1")) + ("t0", "t1")]
+        pieces.append((Piece.arc if arc else Piece.segment)(*args))
     return build_ball(pieces, auto_symmetrize=doc.get("auto_symmetrize",
                                                       False))
 
@@ -71,17 +77,23 @@ def load_ball(doc_or_path):
 
 def curve_from_doc(doc, quad=DEFAULT_CONFIG):
     """The curve of a document, with quadrature rule quad."""
-    ball = ball_from_doc(doc["ball"])
+    ball = ball_from_doc(_get(doc, "ball", "curve"))
     if "explicit" in doc:
-        pieces = [(pd["x"], pd["y"]) for pd in doc["explicit"]]
+        pieces = [tuple(_get(pd, c, f"explicit entry {k}") for c in "xy")
+                  for k, pd in enumerate(doc["explicit"])]
         return curve_from_explicit(ball, pieces, quad=quad)
-    entries = doc["radius"]
     radii = [None] * ball.n_pieces
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(_get(doc, "radius", "curve")):
+        i, r = k, entry
         if isinstance(entry, dict):
-            radii[int(entry.get("piece", k))] = entry["expr"]
-        else:
-            radii[k] = entry
+            i, r = entry.get("piece", k), _get(entry, "expr",
+                                               f"radius entry {k}")
+        if type(i) is not int or not 0 <= i < len(radii):
+            raise ValidationError(f"radius entry {k}: piece {i!r} is not "
+                                  f"one of the ball's {len(radii)} pieces")
+        if radii[i] is not None:
+            raise ValidationError(f"radius entry {k}: piece {i} given twice")
+        radii[i] = r
     if any(r is None for r in radii):
         raise ValidationError("radius must cover every ball piece")
     basepoint = doc.get("basepoint", (0.0, 0.0))
@@ -93,7 +105,7 @@ def load_curve(doc_or_path, quad=DEFAULT_CONFIG):
 
 
 def polygon_from_doc(doc):
-    return Polygon(np.asarray(doc["vertices"], dtype=float))
+    return Polygon(np.asarray(_get(doc, "vertices", "polygon"), dtype=float))
 
 
 def load_polygon(doc_or_path):

@@ -13,7 +13,7 @@ from .errors import MismatchedBalls
 
 def dual_length(curve):
     """L*(gamma) = integral of r(t) [u(t), u'(t)] dt over one period."""
-    return curve.table().dual_length
+    return float(curve.table().dual_length)
 
 
 def mixed_area(c1, c2):

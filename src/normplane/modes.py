@@ -23,11 +23,9 @@ from .quadrature import DEFAULT_CONFIG
 
 class Gram(NamedTuple):
     """A Modes' ledger forms: G[j, k] is the symmetrised mixed area
-    A(gamma_j, gamma_k) of modes j and k, each mode's node-table curve from
-    the origin; samples[:, k] is mode k's radius at the nodes and both ends
-    of each panel, as NodeTable.radius_samples reads them; knots[k] is mode
-    k's curve at every panel start and node, as NodeTable.knots lists
-    them."""
+    A(gamma_j, gamma_k) of modes j and k, each a curve from the origin;
+    samples[:, k] and knots[k] are mode k's radius_samples and knots, read
+    from row k of Modes.table."""
 
     G: np.ndarray
     samples: np.ndarray
@@ -118,11 +116,10 @@ class Modes(Forms):
                                         lambda idx, t: self.values(t))
         self.area = frame.area
         self.nodes = self.values(frame.t)
-        self.gaps = np.einsum("pk,pkm,pkd->md", frame.weights, self.nodes,
-                              frame.du)
+        table = self.table()
+        self.gaps, self.duals = table.gap, table.dual_length
         # g @ closer are the k = 1 coefficients that cancel a closure gap g
         self.closer = -np.linalg.inv(self.gaps[1:3])
-        self.duals = frame.integral(self.nodes * frame.cross[..., None])
         # the modes on the lift grid, 200 points a piece, a column a point
         self.grid = self.values(np.concatenate(
             [np.linspace(p.t0, p.t1, 200) for p in ball.pieces])).T
@@ -144,27 +141,22 @@ class Modes(Forms):
         return AdmissibleCurve(ball, NodeValues(self.frame, self.nodes @ c),
                                basepoint)
 
+    def table(self):
+        """The modes' NodeTable, a row per mode from the origin (not kept)."""
+        rows = np.ascontiguousarray(np.moveaxis(self.nodes, -1, 0))
+        return NodeTable(self.frame, rows, np.zeros((len(rows), 2)))
+
     @cached_property
     def gram(self):
-        """The Gram forms, built on first use from each mode's node table
-        from the origin with the same sums as mixed_area."""
-        frame, m = self.frame, self.nodes.shape[-1]
-        P = len(frame.lo)
-        knots = np.empty((m, P + frame.t.size, 2))
-        samples = np.empty((P * (frame.n + 2), m))
-        for k in range(m):
-            table = NodeTable(frame, self.nodes[..., k], np.zeros(2))
-            knots[k] = table.knots()
-            samples[:, k] = table.radius_samples()
-        # Q[j, k] = 1/2 sum of w [gamma_j, r_k u'] over the nodes, gamma_j
-        # the knots after the panel starts
-        gamma = knots[:, P:].reshape((m,) + frame.du.shape)
-        wdu = frame.weights[..., None] * frame.du
-        Q = 0.5 * (np.einsum("jpn,pn,pnk->jk", gamma[..., 0], wdu[..., 1],
-                             self.nodes)
-                   - np.einsum("jpn,pn,pnk->jk", gamma[..., 1], wdu[..., 0],
-                               self.nodes))
-        return Gram(G=0.5 * (Q + Q.T), samples=samples, knots=knots)
+        """The Gram forms, from Modes.table with mixed_area's sums."""
+        table, f = self.table(), self.frame
+        gx, gy = np.moveaxis(table.gamma, -1, 0)
+        wdu = f.weights[..., None] * f.du
+        # Q[j, k] = 1/2 sum of w [gamma_j, r_k u'] over the nodes
+        Q = 0.5 * (np.einsum("jpn,pn,pnk->jk", gx, wdu[..., 1], self.nodes)
+                   - np.einsum("jpn,pn,pnk->jk", gy, wdu[..., 0], self.nodes))
+        return Gram(G=0.5 * (Q + Q.T), samples=table.radius_samples().T,
+                    knots=table.knots())
 
 
 class ModeStack(Forms):

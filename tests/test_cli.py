@@ -80,6 +80,38 @@ class TestValidate:
         assert diag["error"] == "ValidationError"
         assert "'k'" in diag["detail"]
 
+    @pytest.mark.parametrize("entries, detail", [
+        ([{"piece": -1, "expr": "1"}] + [1] * 3,
+         "radius entry 0: piece -1 is not one of the ball's 4 pieces"),
+        ([1, 1, 1, {"piece": 7, "expr": "1"}],
+         "radius entry 3: piece 7 is not one of the ball's 4 pieces"),
+        ([1, 1, {"piece": 1, "expr": "1"}, 1],
+         "radius entry 2: piece 1 given twice"),
+    ], ids=["negative", "past_the_last", "twice"])
+    def test_bad_radius_piece_is_invalid_input(self, tmp_path, entries,
+                                               detail):
+        p = write_doc(tmp_path / "curve.json",
+                      {"ball": "euclidean", "radius": entries})
+        res = run_cli("validate", "--curve", p)
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1]) == {
+            "error": "ValidationError", "detail": detail}
+
+    @pytest.mark.parametrize("pieces, detail", [
+        ([{"kind": "segment", "p0": [1, -1], "p1": [1, 1], "t0": 0, "t1": 1},
+          {"kind": "segment", "p0": [1, 1], "t0": 1, "t1": 2}],
+         "ball piece 1 has no 'p1'"),
+        ([1, 2], "ball piece 0 has no 'kind'"),
+    ], ids=["segment_without_p1", "piece_not_an_object"])
+    def test_piece_without_a_key_is_invalid_input(self, tmp_path, pieces,
+                                                  detail):
+        p = write_doc(tmp_path / "ball.json",
+                      {"auto_symmetrize": True, "pieces": pieces})
+        res = run_cli("validate", "--ball", p)
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1]) == {
+            "error": "ValidationError", "detail": detail}
+
 
 def test_cli_import_leaves_the_corpus_out():
     code = ("import sys, normplane.cli; sys.exit(bool("
@@ -217,6 +249,14 @@ class TestLhuilier:
         assert json.loads(res.stderr.splitlines()[-1]) == {
             "error": "ValidationError", "detail": "vertex 2 is not finite"}
 
+    def test_polygon_without_vertices_rejected(self, tmp_path):
+        p = write_doc(tmp_path / "novertices.json", {"verts": [[0, 0]]})
+        res = run_cli("lhuilier", p)
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1]) == {
+            "error": "ValidationError",
+            "detail": "polygon has no 'vertices'"}
+
 
 class TestCorpus:
     def test_clean_run(self, tmp_path):
@@ -252,6 +292,12 @@ class TestCorpus:
         assert dist["mixed_example21"]["oracle"]["worst"] == 7
         assert dist["mixed_example21"]["oracle"]["max"] <= 1e-12
         assert sum("oracle" in d for d in dist.values()) == 1
+
+    def test_negative_seed_is_invalid_input(self):
+        res = run_cli("corpus", "--seed", "-1", "--n", "4")
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1])["error"] == \
+            "ValidationError"
 
     def test_injected_bug_is_caught(self):
         res = run_cli("corpus", "--seed", "1", "--n", "4",

@@ -1,6 +1,7 @@
 """run_corpus's one array pass: the corpus balls' ModeStack against each
 ball's own Modes, pad curves kept out of the report, the batch draws
-against the one-curve generators' scalar draws, and the generators' names."""
+against the one-curve generators' scalar draws, the generators' names, and
+each ball's mode table and Gram forms against one node table per mode."""
 
 import pickle
 
@@ -9,6 +10,7 @@ import pytest
 
 from normplane import corpus
 from normplane.corpus import CORPUS_BALL_NAMES, corpus_balls, run_corpus
+from normplane.curve import NodeTable
 from normplane.errors import NotClosed
 from normplane.modes import ModeStack
 
@@ -157,3 +159,45 @@ def test_the_generators_pickle_by_name(name):
     fn = getattr(corpus, name)
     assert fn.__qualname__ == name
     assert pickle.loads(pickle.dumps(fn)) is fn
+
+
+def _gram_per_mode(modes):
+    """The Gram forms with one node table per mode, each from the origin:
+    the reference that Modes.gram's one stacked table replaces."""
+    frame, m = modes.frame, modes.nodes.shape[-1]
+    P = len(frame.lo)
+    knots = np.empty((m, P + frame.t.size, 2))
+    samples = np.empty((P * (frame.n + 2), m))
+    for k in range(m):
+        table = NodeTable(frame, modes.nodes[..., k], np.zeros(2))
+        knots[k] = table.knots()
+        samples[:, k] = table.radius_samples()
+    gamma = knots[:, P:].reshape((m,) + frame.du.shape)
+    wdu = frame.weights[..., None] * frame.du
+    Q = 0.5 * (np.einsum("jpn,pn,pnk->jk", gamma[..., 0], wdu[..., 1],
+                         modes.nodes)
+               - np.einsum("jpn,pn,pnk->jk", gamma[..., 1], wdu[..., 0],
+                           modes.nodes))
+    return 0.5 * (Q + Q.T), samples, knots
+
+
+@pytest.mark.parametrize("b", range(NB), ids=CORPUS_BALL_NAMES)
+def test_gram_matches_one_table_per_mode(b):
+    modes = stack().members[b]
+    G, samples, knots = _gram_per_mode(modes)
+    np.testing.assert_array_equal(modes.gram.samples, samples)
+    np.testing.assert_array_equal(modes.gram.knots, knots)
+    assert np.abs(modes.gram.G - G).max() <= 1e-15 * np.abs(G).max()
+
+
+@pytest.mark.parametrize("b", range(NB), ids=CORPUS_BALL_NAMES)
+def test_mode_table_rows_sum_as_one_row_curves(b):
+    """The constant mode's L* is the ball's 2 A(U) bit for bit, both one
+    row's sum of [u, u'], and each mode's closure gap is that of its own
+    one-row table."""
+    modes = stack().members[b]
+    assert modes.duals[0] == 2.0 * modes.area
+    for k in range(modes.nodes.shape[-1]):
+        one = NodeTable(modes.frame, modes.nodes[..., k], np.zeros(2))
+        np.testing.assert_array_equal(modes.gaps[k], one.gap)
+        assert modes.duals[k] == one.dual_length

@@ -279,3 +279,45 @@ def test_analyze_sums_each_integral_once(mixed, monkeypatch):
     assert ledger.dual_length == report.dual_length == dual_length(curve)
     assert ledger.curve_area == report.signed_area == signed_area(curve)
     assert len(summed) == 5
+
+
+# -- stacked radius rows: one NodeTable over rows of shape (..., P, n) ------
+
+def _stacked_rows(frame, seed):
+    """Radius rows of shape (2, 3, P, n) on frame and their basepoints."""
+    rng = np.random.default_rng(seed)
+    R = 1.0 + 0.5 * rng.standard_normal((2, 3) + frame.t.shape)
+    R[0, 0] = 1.0
+    return R, rng.uniform(-2.0, 2.0, size=(2, 3, 2))
+
+
+@pytest.mark.parametrize("name", ["euclidean", "square", "hexagon", "mixed",
+                                  "example22"])
+def test_each_row_of_a_stacked_table_is_its_one_row_table(
+        name, all_balls, example22):
+    """start, gap, gamma, knots, radius_samples and L* of every row of a
+    stacked table equal those of the table of that row alone, bit for
+    bit; on Example 2.2 its own radius is one of the rows."""
+    curve = (example22 if name == "example22"
+             else curve_from_radius(all_balls[name], 1.0))
+    frame = curve.table().frame
+    R, base = _stacked_rows(frame, 3)
+    if name == "example22":
+        R[1, 2], base[1, 2] = example22.table().r, example22.basepoint
+    stacked = NodeTable(frame, R, base)
+    assert stacked.gamma.shape == R.shape + (2,)
+    assert stacked.dual_length.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        one = NodeTable(frame, R[i, j], base[i, j])
+        for got, want in [(stacked.start[i, j], one.start),
+                          (stacked.gap[i, j], one.gap),
+                          (stacked.gamma[i, j], one.gamma),
+                          (stacked.knots()[i, j], one.knots()),
+                          (stacked.radius_samples()[i, j],
+                           one.radius_samples()),
+                          (stacked.dual_length[i, j], one.dual_length)]:
+            np.testing.assert_array_equal(got, want)
+    if name == "example22":
+        np.testing.assert_array_equal(stacked.knots()[1, 2],
+                                      example22.table().knots())
+        assert stacked.dual_length[1, 2] == dual_length(example22)
