@@ -122,20 +122,19 @@ _FRAME_CACHE = 64
 class Frame:
     """u, u' and [u, u'] at the Gauss-Legendre nodes of a panel layout.
 
-    The panels tile one period in increasing order, each inside one piece:
-    leaves, the (lo, hi) pairs of the first half period, then the same
-    shifted by T, so panel p + P/2 is panel p shifted by T.  weights holds
-    the quadrature weight of every node, so the integral over the period of
-    a function with values v at the nodes t is integral(v).  Values are
-    gathered per panel, u_lo and area on first use.
+    ends holds the panel ends of the first half period, increasing from
+    breaks[0] to breaks[n_half] and holding every break.  The panels between
+    consecutive ends, then the same shifted by T, tile one period in
+    increasing order, each inside one piece, so panel p + P/2 is panel p
+    shifted by T.  weights holds the quadrature weight of every node, so the
+    integral over the period of a function with values v at the nodes t is
+    integral(v).  Values are gathered per panel, u_lo and area on first use.
     """
 
-    def __init__(self, ball, leaves, n):
+    def __init__(self, ball, ends, n):
         x, w = gauss_legendre(n)
         self._ball = weakref.ref(ball)   # the ball caches its frames
-        self.leaves, self.n = leaves, n
-        # the leaves tile the half period: each starts where the last ends
-        ends = np.array([lo for lo, _ in leaves] + [leaves[-1][1]])
+        self.ends, self.n = ends, n
         lo, hi = (np.concatenate([e, e + ball.T])
                   for e in (ends[:-1], ends[1:]))
         self.lo, self.mid, self.half = lo, 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -161,12 +160,9 @@ class Frame:
 
     def mixed_area(self, g, r):
         """1/2 the integral of [g, r u'], g and r given at the nodes."""
-        return 0.5 * float(self.integral(cross2(g, r[..., None] * self.du)))
-
-    def cuts(self, i):
-        """The panel ends on piece i, for i in the first half period."""
-        span = self.leaves[self.first[i]:self.first[i + 1]]
-        return np.array([span[0][0]] + [hi for _, hi in span])
+        du = self.du
+        return 0.5 * float(self.integral(g[..., 0] * (r * du[..., 1])
+                                         - g[..., 1] * (r * du[..., 0])))
 
     def integral(self, values):
         """The quadrature sum over the trailing (P, n) axes of values at the
@@ -212,7 +208,7 @@ class UnitBall:
         self.breaks = np.concatenate([t0[:1], t1])
         self.T = float(0.5 * (self.breaks[-1] - self.breaks[0]))
         self.t_start = float(self.breaks[0])
-        self._frames = {}       # (panels, nodes) -> Frame
+        self._frames = {}       # (ends bytes, nodes) -> Frame
 
         # a segment's ends decide its checks (u' and [u, u'] are constant,
         # |u| and |u(t) + u(t + T)| convex); arcs add the Gauss nodes
@@ -389,25 +385,28 @@ class UnitBall:
 
         leaves = []
         integrate(f, starts[:-1], starts[1:], quad, leaves=leaves)
-        return self._frame_of(tuple(leaves), quad.nodes_per_panel)
+        # the panels tile the half period: each starts where the last ends
+        [panels] = leaves
+        return self._frame_of(np.append(panels[:, 0], panels[-1, 1]),
+                              quad.nodes_per_panel)
 
     def common_frame(self, f1, f2):
-        """The Frame of the coarsest panels that refine both frames'."""
+        """The Frame of the coarsest panels that refine both frames': the
+        union of their ends, which both hold every break."""
         if f1 is f2:
             return f1
-        leaves = []
-        for i in range(self.n_half):
-            cuts = np.union1d(f1.cuts(i), f2.cuts(i))
-            leaves += zip(cuts[:-1].tolist(), cuts[1:].tolist())
-        return self._frame_of(tuple(leaves), f1.n)
+        return self._frame_of(np.union1d(f1.ends, f2.ends), f1.n)
 
-    def _frame_of(self, leaves, n):
-        """The cached Frame of first-half panels leaves, n nodes each."""
-        frame = self._frames.get((leaves, n))
+    def _frame_of(self, ends, n):
+        """The cached Frame of first-half panel ends, n nodes a panel,
+        keyed by the bytes of ends."""
+        key = ends.tobytes(), n
+        frame = self._frames.get(key)
         if frame is None:
             if len(self._frames) >= _FRAME_CACHE:
                 del self._frames[next(iter(self._frames))]
-            frame = self._frames[leaves, n] = Frame(self, leaves, n)
+            ends.flags.writeable = False    # the frame's key
+            frame = self._frames[key] = Frame(self, ends, n)
         return frame
 
     @property

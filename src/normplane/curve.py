@@ -19,7 +19,7 @@ from numpy.polynomial import legendre
 
 from . import expressions as ex
 from .ball import norm2
-from .errors import DomainError, NotAdmissible, NotClosed
+from .errors import DomainError, NotAdmissible, NotClosed, ValidationError
 from .quadrature import DEFAULT_CONFIG, gauss_legendre, legendre_operators
 
 # parameters per block when evaluating panel series, bounding the memory
@@ -372,8 +372,8 @@ def curve_from_explicit(ball, pieces, quad=DEFAULT_CONFIG):
     within 1e-8 (relative), the curve is rejected.
     """
     if len(pieces) != ball.n_pieces:
-        raise ValueError(
-            f"need one (x, y) pair per ball piece ({ball.n_pieces})")
+        raise ValidationError(f"need one explicit (x, y) pair per ball "
+                              f"piece ({ball.n_pieces}), got {len(pieces)}")
     radii = []
     x, _ = gauss_legendre(quad.nodes_per_panel)
     for bp, (x_expr, y_expr) in zip(ball.pieces, pieces):

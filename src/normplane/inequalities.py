@@ -113,6 +113,9 @@ class Polygon:
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
         object.__setattr__(self, "vertices", verts)
+        if verts.ndim != 2 or verts.shape[1] != 2:
+            raise ValidationError(
+                f"polygon vertices have shape {verts.shape}, not (k, 2)")
         if len(verts) < 3:
             raise ValidationError("polygon needs at least 3 vertices")
         finite = np.isfinite(verts).all(axis=-1)   # NaN passes the CCW test

@@ -45,21 +45,34 @@ def _load(doc_or_path):
     return doc_or_path
 
 
-def _get(doc, key, where):
-    """doc[key], or a ValidationError naming the key and where it is."""
+def _get(doc, key, where, kind=None):
+    """doc[key], or a ValidationError naming the key and where it is, also
+    when kind is given and the value is not a kind."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"{where} has no {key!r}")
+    if kind is not None and not isinstance(doc[key], kind):
+        raise ValidationError(f"{where}: {key!r} is not a {kind.__name__}")
     return doc[key]
+
+
+def _floats(value, where):
+    """value as a float array, or a ValidationError naming where it is."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):   # ragged, or not a number
+        raise ValidationError(f"{where} is not an array of numbers") from None
 
 
 def ball_from_doc(doc):
     if isinstance(doc, str):
         return builtin_ball(doc)
+    if not isinstance(doc, dict):
+        raise ValidationError("ball is neither a builtin name nor an object")
     if "builtin" in doc:
         params = {k: v for k, v in doc.items() if k != "builtin"}
         return builtin_ball(doc["builtin"], **params)
     pieces = []
-    for i, pd in enumerate(_get(doc, "pieces", "ball")):
+    for i, pd in enumerate(_get(doc, "pieces", "ball", list)):
         kind = _get(pd, "kind", f"ball piece {i}")
         if kind not in ("arc", "segment"):
             raise ValidationError(f"unknown piece kind {kind!r}")
@@ -80,10 +93,10 @@ def curve_from_doc(doc, quad=DEFAULT_CONFIG):
     ball = ball_from_doc(_get(doc, "ball", "curve"))
     if "explicit" in doc:
         pieces = [tuple(_get(pd, c, f"explicit entry {k}") for c in "xy")
-                  for k, pd in enumerate(doc["explicit"])]
+                  for k, pd in enumerate(_get(doc, "explicit", "curve", list))]
         return curve_from_explicit(ball, pieces, quad=quad)
     radii = [None] * ball.n_pieces
-    for k, entry in enumerate(_get(doc, "radius", "curve")):
+    for k, entry in enumerate(_get(doc, "radius", "curve", list)):
         i, r = k, entry
         if isinstance(entry, dict):
             i, r = entry.get("piece", k), _get(entry, "expr",
@@ -96,7 +109,9 @@ def curve_from_doc(doc, quad=DEFAULT_CONFIG):
         radii[i] = r
     if any(r is None for r in radii):
         raise ValidationError("radius must cover every ball piece")
-    basepoint = doc.get("basepoint", (0.0, 0.0))
+    basepoint = _floats(doc.get("basepoint", (0.0, 0.0)), "curve 'basepoint'")
+    if basepoint.shape != (2,):
+        raise ValidationError("curve 'basepoint' is not a pair [x, y]")
     return curve_from_radius(ball, radii, basepoint=basepoint, quad=quad)
 
 
@@ -105,7 +120,8 @@ def load_curve(doc_or_path, quad=DEFAULT_CONFIG):
 
 
 def polygon_from_doc(doc):
-    return Polygon(np.asarray(_get(doc, "vertices", "polygon"), dtype=float))
+    return Polygon(_floats(_get(doc, "vertices", "polygon"),
+                           "polygon 'vertices'"))
 
 
 def load_polygon(doc_or_path):

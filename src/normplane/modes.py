@@ -161,8 +161,7 @@ class Modes(Forms):
 
 class ModeStack(Forms):
     """The Modes of several balls, their arrays stacked on a ball axis and
-    the ragged ones padded.  gram is read from the members on every use
-    and restacked when one of theirs is replaced."""
+    the ragged ones padded."""
 
     def __init__(self, balls, kmax):
         self.members = [modes_of(ball, kmax) for ball in balls]
@@ -172,16 +171,13 @@ class ModeStack(Forms):
         self.diameter = np.array([ball.diameter for ball in balls])
         self.grid = _padded([m.grid for m in self.members], -1)
         self.odd = self.members[0].odd
-        self._grams = [None] * len(balls)
 
-    @property
+    @cached_property
     def gram(self):
+        """The members' G, samples and knots, padded along their nodes."""
         grams = [m.gram for m in self.members]
-        if any(g is not h for g, h in zip(grams, self._grams)):
-            # G, samples and knots, padded along their nodes
-            self._grams, self._gram = grams, Gram(*(
-                _padded(a, axis) for a, axis in zip(zip(*grams), (0, 0, 1))))
-        return self._gram
+        return Gram(*(_padded(a, axis)
+                      for a, axis in zip(zip(*grams), (0, 0, 1))))
 
 
 _MODES = weakref.WeakKeyDictionary()   # ball -> {kmax: Modes}

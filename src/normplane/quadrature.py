@@ -66,11 +66,12 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     halves' sum agrees with it to within max(rel_tol * scale, abs_tol) in
     every component; a panel still open at max_depth raises NoConvergence.
 
-    When leaves is a list, the accepted panels are appended to it as
-    (lo, hi) pairs, interval by interval and each in increasing order; the
-    integral is the sum of the nodes_per_panel-point rule over exactly
-    those panels, added in the order of the halving tree.  If level 0
-    accepts all, as for a polygon, its halves are the leaves, in order.
+    When leaves is a list and some interval is not empty, the accepted
+    panels are appended to it as one (k, 2) array of (lo, hi) rows,
+    interval by interval and each in increasing order; the integral is the
+    sum of the nodes_per_panel-point rule over exactly those panels, added
+    in the order of the halving tree.  If level 0 accepts all, as for a
+    polygon, its halves are the leaves, in order.
     """
     scalar = np.ndim(a) == 0
     lo = np.atleast_1d(np.asarray(a, dtype=float))
@@ -117,11 +118,10 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     if leaves is not None and len(levels) > 1:
         owner, a, m, b = (np.concatenate([lv[j][lv[4]] for lv in levels])
                           for j in range(4))
-        order = np.lexsort((a, owner))
-        ends = np.column_stack([a, m, b])[order]
-        left, right = ends[:, :2].ravel(), ends[:, 1:].ravel()
+        a, m, b = np.column_stack([a, m, b])[np.lexsort((a, owner))].T
     if leaves is not None:
-        leaves += zip(left.tolist(), right.tolist())
+        # the two halves (a, m) and (m, b) of every accepted panel
+        leaves.append(np.column_stack([a, m, m, b]).reshape(-1, 2))
     return total[0] if scalar else total
 
 

@@ -112,6 +112,32 @@ class TestValidate:
         assert json.loads(res.stderr.splitlines()[-1]) == {
             "error": "ValidationError", "detail": detail}
 
+    @pytest.mark.parametrize("doc, detail", [
+        ({"ball": "euclidean", "radius": 5}, "curve: 'radius' is not a list"),
+        ({"ball": "euclidean", "radius": [1] * 4, "basepoint": [1]},
+         "curve 'basepoint' is not a pair [x, y]"),
+        ({"ball": "euclidean", "radius": [1] * 4, "basepoint": [1, 2, 3]},
+         "curve 'basepoint' is not a pair [x, y]"),
+        ({"ball": "euclidean", "radius": [1] * 4, "basepoint": "ab"},
+         "curve 'basepoint' is not an array of numbers"),
+        ({"ball": 5, "radius": [1] * 4},
+         "ball is neither a builtin name nor an object"),
+        ({"ball": {"pieces": 5}, "radius": [1] * 4},
+         "ball: 'pieces' is not a list"),
+        ({"ball": "euclidean", "explicit": 5},
+         "curve: 'explicit' is not a list"),
+        ({"ball": "euclidean", "explicit": [{"x": "cos(t)", "y": "sin(t)"}]},
+         "need one explicit (x, y) pair per ball piece (4), got 1"),
+    ], ids=["radius_not_a_list", "basepoint_of_one", "basepoint_of_three",
+            "basepoint_a_string", "ball_a_number", "pieces_not_a_list",
+            "explicit_not_a_list", "explicit_too_short"])
+    def test_malformed_curve_is_invalid_input(self, tmp_path, doc, detail):
+        p = write_doc(tmp_path / "curve.json", doc)
+        res = run_cli("validate", "--curve", p)
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1]) == {
+            "error": "ValidationError", "detail": detail}
+
 
 def test_cli_import_leaves_the_corpus_out():
     code = ("import sys, normplane.cli; sys.exit(bool("
@@ -256,6 +282,23 @@ class TestLhuilier:
         assert json.loads(res.stderr.splitlines()[-1]) == {
             "error": "ValidationError",
             "detail": "polygon has no 'vertices'"}
+
+    @pytest.mark.parametrize("vertices, detail", [
+        (5, "polygon vertices have shape (), not (k, 2)"),
+        ([[0, 0], [1, 0], [0]],
+         "polygon 'vertices' is not an array of numbers"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+         "polygon vertices have shape (3, 3), not (k, 2)"),
+        ([[0, 0], [1, "a"], [0, 1]],
+         "polygon 'vertices' is not an array of numbers"),
+    ], ids=["a_number", "ragged", "three_d", "not_numeric"])
+    def test_malformed_vertices_are_invalid_input(self, tmp_path, vertices,
+                                                  detail):
+        p = write_doc(tmp_path / "polygon.json", {"vertices": vertices})
+        res = run_cli("lhuilier", p)
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1]) == {
+            "error": "ValidationError", "detail": detail}
 
 
 class TestCorpus:

@@ -15,7 +15,6 @@ from normplane.corpus import (CORPUS_BALL_NAMES, corpus_balls,
                               random_symmetric_convex_curve,
                               random_symmetric_zero_dual, run_corpus)
 from normplane.errors import NotClosed
-from normplane.modes import modes_of
 
 BALLS = {name: {} for name in CORPUS_BALL_NAMES}
 BALLS["regular_2k_gon(5)"] = {"k": 5}
@@ -266,11 +265,10 @@ def test_the_injected_bug_still_breaks_the_identity():
 
 def test_the_oracle_sees_a_wrong_gram_matrix(monkeypatch):
     assert run_corpus(3, 8)["violations"] == []
-    for ball in corpus_balls():
-        modes = modes_of(ball, 4)
-        G = modes.gram.G.copy()
-        G[0, 0] += 1e-6
-        monkeypatch.setattr(modes, "gram", modes.gram._replace(G=G))
+    stack = corpus._stack(corpus_balls())
+    G = stack.gram.G.copy()
+    G[:, 0, 0] += 1e-6
+    monkeypatch.setattr(stack, "gram", stack.gram._replace(G=G))
     report = run_corpus(3, 8)
     oracle = [v for v in report["violations"] if v["check"] == "oracle"]
     assert oracle and all(v["instance"] == 3 for v in oracle)

@@ -4,6 +4,7 @@ reference: each piece's own point and velocity, each radius as its own
 callable, called on the parameters of that piece alone."""
 
 import copy
+import itertools
 import re
 
 import numpy as np
@@ -49,7 +50,8 @@ def ref_leaves(ball, radii):
     leaves = []
     integrate(f, ball.breaks[:n], ball.breaks[1:n + 1], DEFAULT_CONFIG,
               leaves=leaves)
-    return tuple(leaves)
+    [panels] = leaves
+    return panels
 
 
 def ref_frame(ball, frame):
@@ -97,7 +99,9 @@ def assert_matches_reference(curve, radii, rng):
     are radii, equals the reference bit for bit."""
     ball = curve.ball
     frame = curve.table().frame
-    assert frame.leaves == ref_leaves(ball, radii)
+    np.testing.assert_array_equal(
+        np.column_stack([frame.ends[:-1], frame.ends[1:]]),
+        ref_leaves(ball, radii))
     u, du, u_lo = ref_frame(ball, frame)
     np.testing.assert_array_equal(frame.u, u)
     np.testing.assert_array_equal(frame.du, du)
@@ -264,6 +268,49 @@ def test_the_lhuilier_check_reads_no_lazy_part(monkeypatch):
     for _ in range(20):
         K = random_convex_polygon(rng, int(rng.integers(3, 49)))
         assert lhuilier_check(K).gap >= 0
+
+
+# -- the panel layout: one array of ends --------------------------------------
+
+def _bump(ball, at):
+    """A radius with a narrow bump at t_start + at T: it refines the panels
+    there."""
+    t0, w = ball.t_start + at * ball.T, 1e-3 * ball.T
+    return AdmissibleCurve(ball, lambda t: 1.0 + np.exp(-((t - t0) / w) ** 2),
+                           (0.0, 0.0), check_closure=False).table().frame
+
+
+@pytest.mark.parametrize("case", ["euclidean", "square", "regular_2k_gon",
+                                  "mixed_example21", "polygon", "example22"])
+def test_frames_are_made_cached_and_merged_from_their_ends(case, example22):
+    if case == "polygon":
+        K = random_convex_polygon(np.random.default_rng(5), 12)
+        ball = polygon_ball(symmetrize_polygon(
+            circumscribed_parallel_polygon(K)))
+    else:
+        ball = example22.ball if case == "example22" else builtin_ball(case)
+    one, two = (AdmissibleCurve(ball, c, (0.0, 0.0), check_closure=False)
+                .table().frame for c in (1.0, 2.0))
+    frames = [one, _bump(ball, 0.1), _bump(ball, 0.55)]
+    if case == "example22":
+        frames.append(example22.table().frame)
+    n = ball.n_half
+    for f in frames:
+        assert (np.diff(f.ends) > 0).all()
+        assert f.ends[0] == ball.breaks[0] and f.ends[-1] == ball.breaks[n]
+        assert np.isin(ball.breaks[:n + 1], f.ends).all()
+        assert ball._frame_of(f.ends.copy(), f.n) is f
+    # layouts that agree, as for r and 2r, share one Frame
+    np.testing.assert_array_equal(one.ends, two.ends)
+    assert one is two
+    # the common refinement is the union of the ends
+    for f1, f2 in itertools.combinations(frames, 2):
+        both = ball.common_frame(f1, f2)
+        np.testing.assert_array_equal(both.ends,
+                                      np.union1d(f1.ends, f2.ends))
+        assert both is ball.common_frame(f2, f1)
+    assert len(ball.common_frame(*frames[1:3]).ends) > max(
+        len(f.ends) for f in frames[1:3])
 
 
 # -- many-vertex polygons ---------------------------------------------------

@@ -120,7 +120,8 @@ def _check_against_reference(ball, radii, quad=DEFAULT_CONFIG):
     for i, p in enumerate(ball.pieces[:n]):
         np.testing.assert_array_equal(
             values[i], reference_integrate(f, p.t0, p.t1, quad, want))
-    assert got == want
+    [panels] = got
+    np.testing.assert_array_equal(panels, want)
 
     def radius(idx, t):
         # the radius of each piece on its own parameters
@@ -129,7 +130,9 @@ def _check_against_reference(ball, radii, quad=DEFAULT_CONFIG):
         for i, ri in parts.items():
             r[idx == i] = ri
         return r
-    assert ball.frame(quad, radius).leaves == tuple(want)
+    ends = ball.frame(quad, radius).ends
+    np.testing.assert_array_equal(np.column_stack([ends[:-1], ends[1:]]),
+                                  want)
 
 
 def _wavy(ball, k=20, b=0.5):
@@ -182,8 +185,9 @@ def test_scalar_and_array_ends_agree():
     for k in range(3):
         assert got[k] == integrate(f, lo[k], hi[k], leaves=want)
     assert got[2] == 0.0
-    assert leaves == want
-    assert all(a < b for a, b in leaves)
+    [panels] = leaves
+    np.testing.assert_array_equal(panels, np.concatenate(want))
+    assert (panels[:, 0] < panels[:, 1]).all()
 
 
 def test_no_convergence_names_the_leftmost_open_panel():
