@@ -115,11 +115,11 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
         value = refined
     total = np.zeros(lo.shape + value.shape[1:])
     total[levels[0][0]] = value
-    if leaves is not None and len(levels) > 1:
-        owner, a, m, b = (np.concatenate([lv[j][lv[4]] for lv in levels])
-                          for j in range(4))
-        a, m, b = np.column_stack([a, m, b])[np.lexsort((a, owner))].T
     if leaves is not None:
+        if len(levels) > 1:   # else a, m, b are level 0's panels, in order
+            owner, a, m, b = (np.concatenate([lv[j][lv[4]] for lv in levels])
+                              for j in range(4))
+            a, m, b = np.column_stack([a, m, b])[np.lexsort((a, owner))].T
         # the two halves (a, m) and (m, b) of every accepted panel
         leaves.append(np.column_stack([a, m, m, b]).reshape(-1, 2))
     return total[0] if scalar else total
