@@ -159,10 +159,11 @@ class Frame:
         return 0.5 * float(self.integral(self.cross))
 
     def mixed_area(self, g, r):
-        """1/2 the integral of [g, r u'], g and r given at the nodes."""
+        """1/2 the integral of [g, r u'], g (..., P, n, 2) and r (..., P, n)
+        given at the nodes: one value per leading index."""
         du = self.du
-        return 0.5 * float(self.integral(g[..., 0] * (r * du[..., 1])
-                                         - g[..., 1] * (r * du[..., 0])))
+        return 0.5 * self.integral(g[..., 0] * (r * du[..., 1])
+                                   - g[..., 1] * (r * du[..., 0]))
 
     def integral(self, values):
         """The quadrature sum over the trailing (P, n) axes of values at the
@@ -170,14 +171,10 @@ class Frame:
         w = self.weights.ravel()
         return (values.reshape(values.shape[:-2] + (1, w.size)) @ w)[..., 0]
 
-    def locate(self, t, piece=None):
-        """Panel index and position in [-1, 1] of each reduced parameter,
-        searching only the panels of piece when it is given."""
-        lo, hi = 0, len(self.lo)
-        if piece is not None:
-            lo, hi = self.first[piece], self.first[piece + 1]
-        p = lo + np.clip(np.searchsorted(self.lo[lo:hi], t, side="right") - 1,
-                         0, hi - lo - 1)
+    def locate(self, t):
+        """Panel index and position in [-1, 1] of each reduced parameter."""
+        p = np.clip(np.searchsorted(self.lo, t, side="right") - 1,
+                    0, len(self.lo) - 1)
         return p, (t - self.mid[p]) / self.half[p]
 
 

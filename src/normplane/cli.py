@@ -15,7 +15,6 @@ import click
 import numpy as np
 
 from . import jsonio, svg
-from .curve import stacked_points
 from .decomp import decompose as decompose_curve
 from .errors import NormPlaneError, NotConvexInput, ValidationError
 from .inequalities import iso_ledger, lhuilier_check
@@ -121,7 +120,7 @@ def decompose(curve_path, out_dir, want_svg):
         ts = np.linspace(curve.ball.t_start,
                          curve.ball.t_start + 2 * curve.ball.T, 512,
                          endpoint=False)[:512 if want_svg else 128]
-        g, wc, cw = stacked_points([curve, dec.wc, dec.cwms], ts)
+        g, wc, cw = dec.table.points(curve.ball.reduce(ts))
         report = dec.to_dict()
         report["wc_samples"] = wc[:128]
         report["cwms_samples"] = cw[:128]

@@ -19,7 +19,8 @@ from numpy.polynomial import legendre
 
 from . import expressions as ex
 from .ball import norm2
-from .errors import DomainError, NotAdmissible, NotClosed, ValidationError
+from .errors import (DomainError, MismatchedBalls, NotAdmissible, NotClosed,
+                     ValidationError)
 from .quadrature import DEFAULT_CONFIG, gauss_legendre, legendre_operators
 
 # parameters per block when evaluating panel series, bounding the memory
@@ -70,32 +71,19 @@ def _per_piece(radii, m):
     return const, fns
 
 
-def _piece_radius(table, i):
-    """The table's radius on piece i as a vectorized callable."""
-    return lambda t: table.radius(np.ravel(t), i).reshape(np.shape(t))
-
-
-@dataclass(frozen=True)
-class NodeValues:
-    """A radius given by its values at the nodes of a ball Frame, shape
-    (panels, nodes); between nodes it is each panel's interpolant."""
-
-    frame: object
-    values: np.ndarray
-
-
 class NodeTable:
     """Radius rows r, shape (..., P, n), and points gamma at the nodes of
     one Frame, each row a curve from its basepoint, shape (..., 2).
 
     g = r u' is formed once; its panel sums give start, gamma at each
-    panel's left end, and gap, the displacement over one period.  Each row
-    equals its one-row table bit for bit.  Between nodes, r and gamma are
-    the panels' Legendre series (points, radius and area take one row).
+    panel's left end, and gap, the displacement over one period.  Between
+    nodes, r and gamma are the panels' Legendre series.  Each row equals
+    its one-row table bit for bit.
     """
 
     def __init__(self, frame, r, basepoint):
         self.frame, self.r = frame, r
+        basepoint = np.asarray(basepoint, dtype=float)
         g = self.g = np.empty(r.shape + (2,))   # one product per coordinate
         for j in (0, 1):
             np.multiply(r, frame.du[..., j], out=g[..., j])
@@ -135,22 +123,29 @@ class NodeTable:
         """Legendre coefficients of r per panel, shape (..., P, n)."""
         return self.r @ legendre_operators(self.frame.n)[0].T
 
-    def _series(self, coef, t, piece=None):
-        """Sum over k of coef[p, k] P_k(x) at reduced parameters t (1-D)."""
+    def _series(self, coef, t):
+        """Sum over k of coef[..., p, k] P_k(x) at reduced parameters t
+        (1-D), shape (..., len(t)) + coef's axes after k.  The row axes go
+        behind k, so one panel search and one basis per block serve every
+        row; the copy keeps each panel's coefficients contiguous for the
+        gather by panel."""
+        rows = self.r.ndim - 2
+        coef = np.ascontiguousarray(
+            np.moveaxis(coef, range(rows), range(2, 2 + rows)))
         out = np.empty(t.shape + coef.shape[2:])
         for s in range(0, len(t), _BLOCK):
-            p, x = self.frame.locate(t[s:s + _BLOCK], piece)
+            p, x = self.frame.locate(t[s:s + _BLOCK])
             V = legendre.legvander(x, coef.shape[1] - 1)
             out[s:s + _BLOCK] = np.einsum("mk,mk...->m...", V, coef[p])
-        return out
+        return np.moveaxis(out, 0, rows)
 
     def points(self, t):
-        """gamma at reduced parameters t (1-D)."""
+        """gamma at reduced parameters t (1-D), shape (..., len(t), 2)."""
         return self._series(self._gamma_coef, t)
 
-    def radius(self, t, piece=None):
-        """r at reduced parameters t (1-D), on the panels of piece if given."""
-        return self._series(self._r_coef, t, piece)
+    def radius(self, t):
+        """r at reduced parameters t (1-D), shape (..., len(t))."""
+        return self._series(self._r_coef, t)
 
     def radius_on(self, frame):
         """r at the nodes of frame, a refinement of the table's own."""
@@ -212,10 +207,11 @@ class AdmissibleCurve:
     """A closed curve subordinate to a ball's piece partition.
 
     radii is one radius per ball piece, or a single one for all pieces: an
-    Expr, expression text, a constant, a vectorized callable, or
-    NodeValues on a frame of quad.  A 1-D float array holds one constant
-    per piece.  quad is the quadrature rule of every number the curve
-    reports; curves derived from it keep it.
+    Expr, expression text, a constant, or a vectorized callable.  A 1-D
+    float array holds one constant per piece.  A one-row NodeTable on a
+    frame of quad, from basepoint, is taken as the curve's table; its
+    radius between nodes is the table's series.  quad is the quadrature
+    rule of every number the curve reports; curves derived from it keep it.
     """
 
     def __init__(self, ball, radii, basepoint, quad=DEFAULT_CONFIG,
@@ -223,16 +219,13 @@ class AdmissibleCurve:
         self.ball = ball
         self.basepoint = np.asarray(basepoint, dtype=float)
         self.quad = quad
-        # the radius on each piece: a constant, or a callable in _fns
-        m = ball.n_pieces
-        table = None
-        if isinstance(radii, NodeValues):
-            table = NodeTable(radii.frame, radii.values, self.basepoint)
-            self._const = np.zeros(m)
-            self._fns = {i: _piece_radius(table, i) for i in range(m)}
+        # the radius on each piece: a constant, or a callable in _fns; a
+        # table-backed curve has neither (_fns is None)
+        if isinstance(radii, NodeTable):
+            self._fns, self._table = None, radii
         else:
-            self._const, self._fns = _per_piece(radii, m)
-        self._table = table or self._tabulate()
+            self._const, self._fns = _per_piece(radii, ball.n_pieces)
+            self._table = self._tabulate()
 
         self.closure_gap = self._table.gap
         self.closure_residual = float(norm2(self.closure_gap))
@@ -248,8 +241,14 @@ class AdmissibleCurve:
     @cached_property
     def radii(self):
         """The radius of each piece as a vectorized callable."""
+        if self._fns is None:
+            return [self._read] * self.ball.n_pieces
         return [self._fns.get(i) or _coerce_radius(c)
                 for i, c in enumerate(self._const.tolist())]
+
+    def _read(self, t):
+        """The table's radius series at parameters t of any shape."""
+        return self._table.radius(np.ravel(t)).reshape(np.shape(t))
 
     def _radius_at(self, idx, t, first=None):
         """r at parameters t on the pieces idx, taken as UnitBall.evaluate
@@ -282,6 +281,8 @@ class AdmissibleCurve:
 
     def radius(self, t):
         """Curvature radius r(t), vectorized (right piece at vertices)."""
+        if self._fns is None:
+            return self._read(self.ball.reduce(t))
         flat = self.ball.reduce(np.ravel(t))
         return self._radius_at(self.ball.piece_index(flat),
                                flat).reshape(np.shape(t))
@@ -313,8 +314,8 @@ class AdmissibleCurve:
 
     def _derived(self, frame, r, basepoint):
         """A curve on the same ball with radius r at the nodes of frame."""
-        return AdmissibleCurve(self.ball, NodeValues(frame, r), basepoint,
-                               quad=self.quad, check_closure=False)
+        return AdmissibleCurve(self.ball, NodeTable(frame, r, basepoint),
+                               basepoint, quad=self.quad, check_closure=False)
 
     def translated(self, v):
         table = self.table()
@@ -332,26 +333,13 @@ class AdmissibleCurve:
 def pointwise_sum(c1, c2):
     """The curve t -> c1(t) + c2(t); radii add, basepoints add."""
     if c1.ball is not c2.ball:
-        raise ValueError("curves must share a ball")
+        raise MismatchedBalls("curves live on different balls")
     if c1.quad != c2.quad:
         raise ValueError("curves must share a quadrature rule")
     t1, t2 = c1.table(), c2.table()
     frame = c1.ball.common_frame(t1.frame, t2.frame)
     return c1._derived(frame, t1.radius_on(frame) + t2.radius_on(frame),
                        c1.basepoint + c2.basepoint)
-
-
-def stacked_points(curves, t):
-    """gamma of every curve at parameters t, shape (len(curves),) + t.shape
-    + (2,), each equal to its point(t).  The curves share one Frame, so
-    one panel search and one Legendre basis serve them all."""
-    tables = [c.table() for c in curves]
-    if any(tb.frame is not tables[0].frame for tb in tables):
-        raise ValueError("curves must share a Frame")
-    t = curves[0].ball.reduce(t)
-    coef = np.stack([tb._gamma_coef for tb in tables], axis=2)
-    out = tables[0]._series(coef, t.ravel())
-    return np.moveaxis(out, 1, 0).reshape((len(curves),) + t.shape + (2,))
 
 
 def curve_from_radius(ball, radius, basepoint=(0.0, 0.0),

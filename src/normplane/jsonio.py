@@ -18,6 +18,10 @@ Curve document::
     or
     {"ball": ..., "explicit": [{"x": "...", "y": "..."}, ...]}
 
+A radius is expression text or a real number, never a boolean; t0 and t1
+are finite numbers, p0 and p1 finite pairs, x and y expression text.  An
+explicit curve starts at its first piece, so it takes no basepoint.
+
 Polygon document::
 
     {"vertices": [[x, y], ...]}      # counterclockwise, strictly convex
@@ -26,6 +30,8 @@ Polygon document::
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -45,13 +51,28 @@ def _load(doc_or_path):
     return doc_or_path
 
 
+def _number(value):
+    """Whether value is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# the kinds of _get: a test of the value, and what a value failing it is not
+_LIST = (lambda v: isinstance(v, list), "a list")
+_TEXT = (lambda v: isinstance(v, str), "expression text")
+_RADIUS = (lambda v: isinstance(v, str) or _number(v),
+           "expression text or a real number")
+_PARAM = (lambda v: _number(v) and math.isfinite(v), "a finite number")
+_PAIR = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+         and all(map(_PARAM[0], v)), "a finite pair [x, y]")
+
+
 def _get(doc, key, where, kind=None):
     """doc[key], or a ValidationError naming the key and where it is, also
-    when kind is given and the value is not a kind."""
+    when kind is given and its test rejects the value."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"{where} has no {key!r}")
-    if kind is not None and not isinstance(doc[key], kind):
-        raise ValidationError(f"{where}: {key!r} is not a {kind.__name__}")
+    if kind is not None and not kind[0](doc[key]):
+        raise ValidationError(f"{where}: {key!r} is not {kind[1]}")
     return doc[key]
 
 
@@ -72,13 +93,15 @@ def ball_from_doc(doc):
         params = {k: v for k, v in doc.items() if k != "builtin"}
         return builtin_ball(doc["builtin"], **params)
     pieces = []
-    for i, pd in enumerate(_get(doc, "pieces", "ball", list)):
+    for i, pd in enumerate(_get(doc, "pieces", "ball", _LIST)):
         kind = _get(pd, "kind", f"ball piece {i}")
         if kind not in ("arc", "segment"):
             raise ValidationError(f"unknown piece kind {kind!r}")
         arc = kind == "arc"
-        args = [_get(pd, key, f"ball piece {i}") for key in
-                (("x", "y") if arc else ("p0", "p1")) + ("t0", "t1")]
+        keys = ((("x", _TEXT), ("y", _TEXT)) if arc else
+                (("p0", _PAIR), ("p1", _PAIR))) + (("t0", _PARAM),
+                                                   ("t1", _PARAM))
+        args = [_get(pd, key, f"ball piece {i}", test) for key, test in keys]
         pieces.append((Piece.arc if arc else Piece.segment)(*args))
     return build_ball(pieces, auto_symmetrize=doc.get("auto_symmetrize",
                                                       False))
@@ -92,15 +115,21 @@ def curve_from_doc(doc, quad=DEFAULT_CONFIG):
     """The curve of a document, with quadrature rule quad."""
     ball = ball_from_doc(_get(doc, "ball", "curve"))
     if "explicit" in doc:
-        pieces = [tuple(_get(pd, c, f"explicit entry {k}") for c in "xy")
-                  for k, pd in enumerate(_get(doc, "explicit", "curve", list))]
+        if "basepoint" in doc:
+            raise ValidationError("curve has both 'explicit' and "
+                                  "'basepoint'; its first piece is its start")
+        pieces = [tuple(_get(pd, c, f"explicit entry {k}", _TEXT)
+                        for c in "xy") for k, pd in
+                  enumerate(_get(doc, "explicit", "curve", _LIST))]
         return curve_from_explicit(ball, pieces, quad=quad)
     radii = [None] * ball.n_pieces
-    for k, entry in enumerate(_get(doc, "radius", "curve", list)):
+    for k, entry in enumerate(_get(doc, "radius", "curve", _LIST)):
         i, r = k, entry
         if isinstance(entry, dict):
             i, r = entry.get("piece", k), _get(entry, "expr",
-                                               f"radius entry {k}")
+                                               f"radius entry {k}", _RADIUS)
+        elif not _RADIUS[0](entry):
+            raise ValidationError(f"radius entry {k} is not {_RADIUS[1]}")
         if type(i) is not int or not 0 <= i < len(radii):
             raise ValidationError(f"radius entry {k}: piece {i!r} is not "
                                   f"one of the ball's {len(radii)} pieces")

@@ -30,12 +30,12 @@ def mixed_area(c1, c2):
         raise ValueError("curves must share a quadrature rule")
     t1, t2 = c1.table(), c2.table()
     frame = c1.ball.common_frame(t1.frame, t2.frame)
-    return frame.mixed_area(t1.gamma_on(frame), t2.radius_on(frame))
+    return float(frame.mixed_area(t1.gamma_on(frame), t2.radius_on(frame)))
 
 
 def signed_area(curve):
     """A(gamma) = A(gamma, gamma); the enclosed area for convex curves."""
-    return curve.table().area
+    return float(curve.table().area)
 
 
 def mean_width(curve):

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (AdmissibleCurve, NodeTable, NodeValues, bbox_diameter,
-                    closure_tol, convexity_sign)
+from .curve import (AdmissibleCurve, NodeTable, bbox_diameter, closure_tol,
+                    convexity_sign)
 from .inequalities import ledger_terms, minkowski_terms
 from .quadrature import DEFAULT_CONFIG
 
@@ -138,8 +138,8 @@ class Modes(Forms):
 
     def curve(self, ball, c, basepoint):
         """The closed curve on ball with mode coefficients c."""
-        return AdmissibleCurve(ball, NodeValues(self.frame, self.nodes @ c),
-                               basepoint)
+        return AdmissibleCurve(
+            ball, NodeTable(self.frame, self.nodes @ c, basepoint), basepoint)
 
     def table(self):
         """The modes' NodeTable, a row per mode from the origin (not kept)."""

@@ -10,7 +10,7 @@ import pytest
 
 from normplane import decompose, jsonio
 
-from conftest import EXAMPLE22_RADII
+from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII
 
 EXAMPLE22_DOC = {
     "ball": "mixed_example21",
@@ -137,6 +137,59 @@ class TestValidate:
         assert res.returncode == 1
         assert json.loads(res.stderr.splitlines()[-1]) == {
             "error": "ValidationError", "detail": detail}
+
+
+HALF_SQUARE = [
+    {"kind": "segment", "p0": [1, -1], "p1": [1, 1], "t0": 0, "t1": 1},
+    {"kind": "segment", "p0": [1, 1], "p1": [-1, 1], "t0": 1, "t1": 2}]
+
+
+def _half_square(**second):
+    """The half square as a ball document, its second piece changed."""
+    return {"auto_symmetrize": True,
+            "pieces": [HALF_SQUARE[0], {**HALF_SQUARE[1], **second}]}
+
+
+@pytest.mark.parametrize("option, doc, detail", [
+    ("--curve", {"ball": "square", "radius": [[1], 1, 1, 1]},
+     "radius entry 0 is not expression text or a real number"),
+    ("--curve", {"ball": "square", "radius": [1, None, 1, 1]},
+     "radius entry 1 is not expression text or a real number"),
+    ("--curve", {"ball": "square", "radius": [True, 1, 1, 1]},
+     "radius entry 0 is not expression text or a real number"),
+    ("--curve", {"ball": "square",
+                 "radius": [1, 1, {"piece": 2, "expr": False}, 1]},
+     "radius entry 2: 'expr' is not expression text or a real number"),
+    ("--ball", _half_square(t0="a"),
+     "ball piece 1: 't0' is not a finite number"),
+    ("--ball", {"pieces": [{**HALF_SQUARE[0], "t0": False}, HALF_SQUARE[1]],
+                "auto_symmetrize": True},
+     "ball piece 0: 't0' is not a finite number"),
+    ("--ball", _half_square(p0=[1]),
+     "ball piece 1: 'p0' is not a finite pair [x, y]"),
+    ("--ball", _half_square(p1=["-1", "1"]),
+     "ball piece 1: 'p1' is not a finite pair [x, y]"),
+    ("--ball", _half_square(kind="arc", x=5, y="sin(pi/2*t)"),
+     "ball piece 1: 'x' is not expression text"),
+    ("--curve", {"ball": "mixed_example21", "basepoint": [2, 1],
+                 "explicit": [{"x": x, "y": y}
+                              for x, y in EXAMPLE22_EXPLICIT]},
+     "curve has both 'explicit' and 'basepoint'; its first piece is its "
+     "start"),
+    ("--curve", {"ball": "euclidean",
+                 "explicit": [{"x": 5, "y": "sin(pi/2*t)"}] * 4},
+     "explicit entry 0: 'x' is not expression text"),
+], ids=["radius_a_list", "radius_null", "radius_true", "expr_false",
+        "t0_text", "t0_false", "p0_of_one", "p1_of_text", "arc_x_a_number",
+        "explicit_with_basepoint", "explicit_x_a_number"])
+def test_malformed_entry_is_invalid_input(tmp_path, option, doc, detail):
+    """Each malformed value is a ValidationError naming its entry and key,
+    not an internal error, a geometric failure or a silent default."""
+    p = write_doc(tmp_path / "doc.json", doc)
+    res = run_cli("validate", option, p)
+    assert res.returncode == 1
+    assert json.loads(res.stderr.splitlines()[-1]) == {
+        "error": "ValidationError", "detail": detail}
 
 
 def test_cli_import_leaves_the_corpus_out():

@@ -4,7 +4,6 @@ import pytest
 from normplane import (curve_from_radius, cwms, decompose, dual_length,
                        is_constant_width, is_symmetric, mixed_area,
                        signed_area, wigner_caustic)
-from normplane.curve import stacked_points
 from normplane.corpus import (random_constant_width_convex_curve,
                               random_convex_curve,
                               random_symmetric_convex_curve)
@@ -92,14 +91,11 @@ class TestDecomposition:
             curves = [curve, dec.wc, dec.cwms]
             # more than one block of parameters, some outside the period
             ts = rng.uniform(-3.0, 7.0, size=(40, 15))
-            got = stacked_points(curves, ts)
-            assert got.shape == (3, 40, 15, 2)
+            got = dec.table.points(ball.reduce(ts).ravel())
+            assert got.shape == (3, 600, 2)
             for g, c in zip(got, curves):
-                assert np.array_equal(g, c.point(ts))
-        # a curve on another ball has another Frame
-        other = random_convex_curve(all_balls["square"], rng)
-        with pytest.raises(ValueError):
-            stacked_points([dec.wc, other], ts)
+                assert np.array_equal(g.reshape(ts.shape + (2,)),
+                                      c.point(ts))
 
     def test_cross_projections_vanish(self, example22):
         # WC is anti-symmetric material, CWMS symmetric: projecting either

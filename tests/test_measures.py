@@ -3,9 +3,9 @@ import pytest
 
 from normplane import (builtin_ball, curve_from_radius, dual_length,
                        is_constant_width, is_symmetric, mean_width,
-                       measure_report, mixed_area, polygonal_area,
-                       shoelace_area, signed_area, support_value,
-                       wigner_caustic, cwms)
+                       measure_report, mixed_area, pointwise_sum,
+                       polygonal_area, shoelace_area, signed_area,
+                       support_value, wigner_caustic, cwms)
 from normplane.curve import AdmissibleCurve
 from normplane.corpus import (random_constant_width_convex_curve,
                               random_convex_curve)
@@ -69,6 +69,10 @@ class TestMixedArea:
     def test_mismatched_balls(self, euclidean, square):
         with pytest.raises(MismatchedBalls):
             mixed_area(ball_curve(euclidean), ball_curve(square))
+
+    def test_pointwise_sum_of_mismatched_balls(self, euclidean, square):
+        with pytest.raises(MismatchedBalls):
+            pointwise_sum(ball_curve(euclidean), ball_curve(square))
 
 
 class TestSignedArea:

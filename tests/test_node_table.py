@@ -260,7 +260,8 @@ def test_series_are_built_on_first_use(mixed, monkeypatch):
 
 def test_analyze_sums_each_integral_once(mixed, monkeypatch):
     """normplane analyze (measure_report, then iso_ledger) sums L*, A(U),
-    A(gamma), A(WC) and A(CWMS) once each, all on the curve's frame."""
+    A(gamma), A(WC) and A(CWMS) once each, all on the curve's frame: a
+    call over stacked rows counts a sum per row."""
     curve = curve_from_radius(mixed, EXAMPLE22_RADII, basepoint=(2, 1))
     frame = curve.table().frame
     vars(frame).pop("area", None)   # A(U) again, if another curve read it
@@ -268,7 +269,7 @@ def test_analyze_sums_each_integral_once(mixed, monkeypatch):
     integral = Frame.integral
 
     def counted(self, values):
-        summed.append(self)
+        summed.extend([self] * int(np.prod(values.shape[:-2])))
         return integral(self, values)
 
     monkeypatch.setattr(Frame, "integral", counted)
@@ -295,9 +296,10 @@ def _stacked_rows(frame, seed):
                                   "example22"])
 def test_each_row_of_a_stacked_table_is_its_one_row_table(
         name, all_balls, example22):
-    """start, gap, gamma, knots, radius_samples and L* of every row of a
-    stacked table equal those of the table of that row alone, bit for
-    bit; on Example 2.2 its own radius is one of the rows."""
+    """start, gap, gamma, knots, radius_samples, L*, A and the series reads
+    points and radius of every row of a stacked table equal those of the
+    table of that row alone, bit for bit; on Example 2.2 its own radius is
+    one of the rows."""
     curve = (example22 if name == "example22"
              else curve_from_radius(all_balls[name], 1.0))
     frame = curve.table().frame
@@ -306,9 +308,17 @@ def test_each_row_of_a_stacked_table_is_its_one_row_table(
         R[1, 2], base[1, 2] = example22.table().r, example22.basepoint
     stacked = NodeTable(frame, R, base)
     assert stacked.gamma.shape == R.shape + (2,)
-    assert stacked.dual_length.shape == (2, 3)
+    assert stacked.dual_length.shape == stacked.area.shape == (2, 3)
+    # more than one block of parameters, some outside the period
+    ts = curve.ball.reduce(np.random.default_rng(5).uniform(-3.0, 7.0, 1300))
+    points, radius = stacked.points(ts), stacked.radius(ts)
+    assert points.shape == (2, 3, 1300, 2) and radius.shape == (2, 3, 1300)
     for i, j in np.ndindex(2, 3):
         one = NodeTable(frame, R[i, j], base[i, j])
+        for got, want in [(points[i, j], one.points(ts)),
+                          (radius[i, j], one.radius(ts)),
+                          (stacked.area[i, j], one.area)]:
+            assert np.array_equal(got, want)
         for got, want in [(stacked.start[i, j], one.start),
                           (stacked.gap[i, j], one.gap),
                           (stacked.gamma[i, j], one.gamma),
@@ -321,3 +331,19 @@ def test_each_row_of_a_stacked_table_is_its_one_row_table(
         np.testing.assert_array_equal(stacked.knots()[1, 2],
                                       example22.table().knots())
         assert stacked.dual_length[1, 2] == dual_length(example22)
+
+
+def test_decomposition_rows_are_the_tables_of_the_curve_and_its_parts(
+        all_balls, example22):
+    """Rows 0, 1 and 2 of decompose's table are, bit for bit, the tables of
+    the curve, of dec.wc and of dec.cwms."""
+    rng = np.random.default_rng(17)
+    curves = [random_convex_curve(ball, rng) for ball in all_balls.values()]
+    for curve in curves + [example22]:
+        dec = decompose(curve)
+        for row, part in enumerate([curve, dec.wc, dec.cwms]):
+            one = part.table()
+            assert one.frame is dec.table.frame
+            for name in ("r", "start", "gamma"):
+                assert np.array_equal(getattr(dec.table, name)[row],
+                                      getattr(one, name))
