@@ -8,6 +8,7 @@ files under --out.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -88,9 +89,9 @@ def analyze(curve_path, out_dir, rel_tol):
     """Measures plus the isoperimetric ledger for a curve."""
 
     def run():
-        if rel_tol is not None and not rel_tol > 0:
+        if rel_tol is not None and not 0 < rel_tol < math.inf:
             raise ValidationError(
-                f"--rel-tol must be positive, got {rel_tol!r}")
+                f"--rel-tol must be positive and finite, got {rel_tol!r}")
         quad = (DEFAULT_CONFIG if rel_tol is None
                 else QuadratureConfig(rel_tol=rel_tol))
         curve = jsonio.load_curve(curve_path, quad=quad)

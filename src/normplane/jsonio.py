@@ -19,7 +19,8 @@ Curve document::
     {"ball": ..., "explicit": [{"x": "...", "y": "..."}, ...]}
 
 A radius is expression text or a real number, never a boolean; t0 and t1
-are finite numbers, p0 and p1 finite pairs, x and y expression text.  An
+are finite numbers, p0, p1 and the basepoint finite pairs, x and y
+expression text, and auto_symmetrize a boolean.  An
 explicit curve starts at its first piece, so it takes no basepoint.
 
 Polygon document::
@@ -64,6 +65,7 @@ _RADIUS = (lambda v: isinstance(v, str) or _number(v),
 _PARAM = (lambda v: _number(v) and math.isfinite(v), "a finite number")
 _PAIR = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
          and all(map(_PARAM[0], v)), "a finite pair [x, y]")
+_BOOL = (lambda v: isinstance(v, bool), "a boolean")
 
 
 def _get(doc, key, where, kind=None):
@@ -103,8 +105,9 @@ def ball_from_doc(doc):
                                                    ("t1", _PARAM))
         args = [_get(pd, key, f"ball piece {i}", test) for key, test in keys]
         pieces.append((Piece.arc if arc else Piece.segment)(*args))
-    return build_ball(pieces, auto_symmetrize=doc.get("auto_symmetrize",
-                                                      False))
+    symmetrize = "auto_symmetrize" in doc and _get(doc, "auto_symmetrize",
+                                                   "ball", _BOOL)
+    return build_ball(pieces, auto_symmetrize=symmetrize)
 
 
 def load_ball(doc_or_path):
@@ -138,9 +141,11 @@ def curve_from_doc(doc, quad=DEFAULT_CONFIG):
         radii[i] = r
     if any(r is None for r in radii):
         raise ValidationError("radius must cover every ball piece")
-    basepoint = _floats(doc.get("basepoint", (0.0, 0.0)), "curve 'basepoint'")
-    if basepoint.shape != (2,):
+    basepoint = doc.get("basepoint", (0.0, 0.0))
+    if _floats(basepoint, "curve 'basepoint'").shape != (2,):
         raise ValidationError("curve 'basepoint' is not a pair [x, y]")
+    if not _PAIR[0](basepoint):    # a boolean, NaN or an infinity
+        raise ValidationError(f"curve 'basepoint' is not {_PAIR[1]}")
     return curve_from_radius(ball, radii, basepoint=basepoint, quad=quad)
 
 

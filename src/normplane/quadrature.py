@@ -1,8 +1,16 @@
 """Adaptive Gauss-Legendre quadrature for piecewise-smooth integrands, and
-the Legendre operators that turn values at a panel's nodes into series."""
+the Legendre operators that turn values at a panel's nodes into series.
+
+integrate chooses panels by chopping Legendre series (Trefethen,
+Approximation Theory and Approximation Practice, 2013; Aurentz and
+Trefethen, "Chopping a Chebyshev series", ACM TOMS, 2017): a panel whose
+interpolant's last coefficients are negligible is accepted as it is, and
+any other is halved."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -10,6 +18,18 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import NoConvergence
+
+
+# the trailing Legendre coefficients a panel's chop test reads: two, so
+# that an integrand odd or even about the panel's middle cannot pass on a
+# vanishing coefficient of the other parity
+_TAIL = 2
+
+
+def _is(value, kind):
+    """Whether value is a number of kind (numbers.Real or Integral); a bool
+    is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -20,10 +40,22 @@ class QuadratureConfig:
     max_depth: int = 12
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.nodes_per_panel < 2:
-            raise ValueError("need at least 2 nodes per panel")
+        # NaN fails every comparison; the tail must leave a panel's series
+        # a head to accept
+        n, rel, floor, depth = (self.nodes_per_panel, self.rel_tol,
+                                self.abs_tol, self.max_depth)
+        for name, ok, what in (
+                ("nodes_per_panel", _is(n, numbers.Integral) and n > _TAIL,
+                 f"an integer > {_TAIL}"),
+                ("rel_tol", _is(rel, numbers.Real) and 0 < rel < math.inf,
+                 "positive and finite"),
+                ("abs_tol", _is(floor, numbers.Real)
+                 and 0 <= floor < math.inf, "non-negative and finite"),
+                ("max_depth", _is(depth, numbers.Integral) and depth >= 0,
+                 "a non-negative integer")):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -37,13 +69,15 @@ def gauss_legendre(n):
 
 
 def panel(f, a, b, n):
-    """Fixed n-node Gauss-Legendre estimate of the integral of f over [a, b].
+    """Fixed n-node Gauss-Legendre estimate of the integral of f over [a, b],
+    and the values of f at the nodes.
 
     a and b are scalars, or arrays of one shape S holding one panel each.
     f maps a 1-D array of parameters, the nodes of every panel in turn, to
     an array whose first axis matches it; trailing axes (e.g. vector
-    components) are integrated componentwise.  The result has shape S plus
-    those trailing axes.
+    components) are integrated componentwise.  The sums have shape S plus
+    those trailing axes; the values are f's, shape (S's size, n, C) with
+    the trailing axes flattened to C.
     """
     x, w = gauss_legendre(n)
     a = np.asarray(a, dtype=float)
@@ -51,27 +85,42 @@ def panel(f, a, b, n):
     ts = (0.5 * (a + b))[..., None] + half[..., None] * x
     vals = np.asarray(f(ts.ravel()), dtype=float)
     tail = vals.shape[1:]
-    sums = w @ vals.reshape((-1, n, vals[0].size))
-    return (half.reshape(-1, 1) * sums).reshape(a.shape + tail)
+    vals = vals.reshape((-1, n, vals[0].size))
+    sums = w @ vals
+    return (half.reshape(-1, 1) * sums).reshape(a.shape + tail), vals
+
+
+def _chop(vals, quad):
+    """The chop test of panels with values vals (P, n, C) at the Gauss
+    nodes: the largest of each panel's last _TAIL Legendre coefficients,
+    over all components; the largest value, its scale; and whether the
+    first is at most max(rel_tol * scale, abs_tol)."""
+    tail = legendre_operators(vals.shape[1])[0][-_TAIL:]
+    err = np.abs(tail @ vals).reshape(len(vals), -1).max(axis=1)
+    scale = np.abs(vals).reshape(len(vals), -1).max(axis=1)
+    return err, scale, err <= np.maximum(quad.rel_tol * scale, quad.abs_tol)
 
 
 def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
-    """Adaptive panel-halving integral of f over [a, b], or over each
-    interval [a[k], b[k]] when a and b are 1-D arrays.
+    """Adaptive Gauss-Legendre integral of f over [a, b], or over each
+    interval [a[k], b[k]] when a and b are 1-D arrays, on panels chosen by
+    the decay of f's Legendre series.
 
-    The rule runs level by level.  At each level the two halves of every
-    panel still open, on all intervals, are estimated in one panel call, so
-    f sees the nodes of the open panels interval by interval, each
-    interval's panels in increasing order.  A panel is accepted when its
-    halves' sum agrees with it to within max(rel_tol * scale, abs_tol) in
-    every component; a panel still open at max_depth raises NoConvergence.
+    The rule runs level by level.  Each level is one panel call on every
+    panel still open, on all intervals, so f sees the nodes of the open
+    panels interval by interval, each interval's panels in increasing
+    order.  A panel is accepted when the last Legendre coefficients of the
+    interpolant of f at its nodes are at most max(rel_tol * scale,
+    abs_tol) in every component, scale being f's largest magnitude there
+    (see _chop); an accepted panel's sum is its value, and any other is
+    halved.  A panel still open at max_depth raises NoConvergence.
 
     When leaves is a list and some interval is not empty, the accepted
     panels are appended to it as one (k, 2) array of (lo, hi) rows,
     interval by interval and each in increasing order; the integral is the
     sum of the nodes_per_panel-point rule over exactly those panels, added
     in the order of the halving tree.  If level 0 accepts all, as for a
-    polygon, its halves are the leaves, in order.
+    polygon, the intervals are the leaves.
     """
     scalar = np.ndim(a) == 0
     lo = np.atleast_1d(np.asarray(a, dtype=float))
@@ -81,22 +130,12 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
         probe = np.asarray(f(lo[:1]), dtype=float)
         total = np.zeros(lo.shape + probe.shape[1:])
         return total[0] if scalar else total
-    n = quad.nodes_per_panel
     a, b = lo[owner], hi[owner]
-    whole = panel(f, a, b, n)
-    levels = []   # per level: owner, a, m, b, accepted, value
+    levels = []   # per level: owner, a, b, accepted, value
     for depth in range(quad.max_depth + 1):
-        m = 0.5 * (a + b)
-        left, right = (np.column_stack([a, m]).ravel(),
-                       np.column_stack([m, b]).ravel())
-        halves = panel(f, left, right, n)
-        refined = halves[0::2] + halves[1::2]
-        flat = (len(a), -1)
-        err = np.abs(whole - refined).reshape(flat).max(axis=1)
-        scale = np.maximum(np.abs(refined).reshape(flat).max(axis=1),
-                           np.abs(whole).reshape(flat).max(axis=1))
-        ok = err <= np.maximum(quad.rel_tol * scale, quad.abs_tol)
-        levels.append((owner, a, m, b, ok, refined))
+        value, vals = panel(f, a, b, quad.nodes_per_panel)
+        err, scale, ok = _chop(vals, quad)
+        levels.append((owner, a, b, ok, value))
         if ok.all():
             break
         if depth == quad.max_depth:
@@ -104,24 +143,24 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
             raise NoConvergence(
                 f"quadrature did not converge on [{float(a[k])}, "
                 f"{float(b[k])}] (error {err[k]:.3e}, scale {scale[k]:.3e})")
+        m = 0.5 * (a + b)
         owner = np.repeat(owner[~ok], 2)
         a, b = (np.column_stack([a[~ok], m[~ok]]).ravel(),
                 np.column_stack([m[~ok], b[~ok]]).ravel())
-        whole = halves[np.repeat(~ok, 2)]
-    # a refined panel's value is its halves' values added, deepest first
+    # a halved panel's value is its halves' values added, deepest first
     value = levels[-1][-1]
-    for _, _, _, _, ok, refined in reversed(levels[:-1]):
-        refined[~ok] = value[0::2] + value[1::2]
-        value = refined
+    for _, _, _, ok, sums in reversed(levels[:-1]):
+        sums[~ok] = value[0::2] + value[1::2]
+        value = sums
     total = np.zeros(lo.shape + value.shape[1:])
     total[levels[0][0]] = value
     if leaves is not None:
-        if len(levels) > 1:   # else a, m, b are level 0's panels, in order
-            owner, a, m, b = (np.concatenate([lv[j][lv[4]] for lv in levels])
-                              for j in range(4))
-            a, m, b = np.column_stack([a, m, b])[np.lexsort((a, owner))].T
-        # the two halves (a, m) and (m, b) of every accepted panel
-        leaves.append(np.column_stack([a, m, m, b]).reshape(-1, 2))
+        if len(levels) > 1:   # else a, b are level 0's panels, in order
+            owner, a, b = (np.concatenate([lv[j][lv[3]] for lv in levels])
+                           for j in range(3))
+            order = np.lexsort((a, owner))
+            a, b = a[order], b[order]
+        leaves.append(np.column_stack([a, b]))
     return total[0] if scalar else total
 
 

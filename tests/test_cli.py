@@ -179,9 +179,21 @@ def _half_square(**second):
     ("--curve", {"ball": "euclidean",
                  "explicit": [{"x": 5, "y": "sin(pi/2*t)"}] * 4},
      "explicit entry 0: 'x' is not expression text"),
+    ("--ball", {**_half_square(), "auto_symmetrize": "no"},
+     "ball: 'auto_symmetrize' is not a boolean"),
+    ("--ball", {**_half_square(), "auto_symmetrize": 1},
+     "ball: 'auto_symmetrize' is not a boolean"),
+    ("--curve", {"ball": "euclidean", "radius": [1] * 4,
+                 "basepoint": [True, False]},
+     "curve 'basepoint' is not a finite pair [x, y]"),
+    ("--curve", {"ball": "euclidean", "radius": [1] * 4,
+                 "basepoint": [float("nan"), 0]},
+     "curve 'basepoint' is not a finite pair [x, y]"),
 ], ids=["radius_a_list", "radius_null", "radius_true", "expr_false",
         "t0_text", "t0_false", "p0_of_one", "p1_of_text", "arc_x_a_number",
-        "explicit_with_basepoint", "explicit_x_a_number"])
+        "explicit_with_basepoint", "explicit_x_a_number",
+        "auto_symmetrize_text", "auto_symmetrize_one", "basepoint_of_bools",
+        "basepoint_nan"])
 def test_malformed_entry_is_invalid_input(tmp_path, option, doc, detail):
     """Each malformed value is a ValidationError naming its entry and key,
     not an internal error, a geometric failure or a silent default."""
@@ -246,7 +258,8 @@ class TestAnalyze:
         assert report["measures"]["dual_length"] == pytest.approx(
             2 * np.pi, rel=1e-10)
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    # inf and nan: a rule that is not positive and finite
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_non_positive_rel_tol_is_invalid_input(self, tmp_path, value):
         p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
         res = run_cli("analyze", "--curve", p, "--rel-tol", value)

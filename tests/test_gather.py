@@ -273,9 +273,10 @@ def test_the_lhuilier_check_reads_no_lazy_part(monkeypatch):
 # -- the panel layout: one array of ends --------------------------------------
 
 def _bump(ball, at):
-    """A radius with a narrow bump at t_start + at T: it refines the panels
-    there."""
-    t0, w = ball.t_start + at * ball.T, 1e-3 * ball.T
+    """A radius with a bump 1/100 of T wide at t_start + at T: it refines
+    the panels there.  (A bump narrower than the spacing of a panel's nodes
+    can fall between them, and the chop test does not see it.)"""
+    t0, w = ball.t_start + at * ball.T, 1e-2 * ball.T
     return AdmissibleCurve(ball, lambda t: 1.0 + np.exp(-((t - t0) / w) ** 2),
                            (0.0, 0.0), check_closure=False).table().frame
 

@@ -8,7 +8,8 @@ from normplane.corpus import corpus_balls, random_convex_polygon
 from normplane.errors import DomainError, NoConvergence
 from normplane.expressions import compile_fn
 from normplane.modes import modes_of
-from normplane.quadrature import DEFAULT_CONFIG, integrate, panel
+from normplane.quadrature import (DEFAULT_CONFIG, integrate,
+                                  legendre_operators, panel)
 
 
 def test_constant_over_partition():
@@ -65,30 +66,48 @@ def test_config_validation():
         QuadratureConfig(nodes_per_panel=1)
 
 
-# -- the level-synchronous rule against the recursive one it replaced -------
+@pytest.mark.parametrize("field, value", [
+    ("nodes_per_panel", 2.5), ("nodes_per_panel", True),
+    ("nodes_per_panel", 2),
+    ("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", 0.0),
+    ("rel_tol", "1e-6"), ("abs_tol", -1e-14), ("abs_tol", float("nan")),
+    ("abs_tol", float("inf")), ("max_depth", -1), ("max_depth", 1.0),
+])
+def test_every_field_is_validated_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        QuadratureConfig(**{field: value})
 
-def _adapt(f, a, b, whole, quad, depth, leaves):
-    m = 0.5 * (a + b)
-    left = panel(f, a, m, quad.nodes_per_panel)
-    right = panel(f, m, b, quad.nodes_per_panel)
-    refined = left + right
-    err = np.max(np.abs(whole - refined))
-    scale = max(np.max(np.abs(refined)), np.max(np.abs(whole)))
+
+def test_edge_values_are_valid():
+    quad = QuadratureConfig(nodes_per_panel=3, abs_tol=0.0, max_depth=0)
+    assert integrate(lambda t: np.full_like(t, 3.0), 0.0, 2.0,
+                     quad) == pytest.approx(6.0, rel=1e-15)
+
+
+# -- the level-synchronous rule against the recursive one ------------------
+
+def _adapt(f, a, b, quad, depth, leaves):
+    """One panel call on [a, b]: its sum if the last two Legendre
+    coefficients of f's interpolant at the nodes are negligible, else the
+    sum over its halves."""
+    value, vals = panel(f, a, b, quad.nodes_per_panel)
+    coef = legendre_operators(quad.nodes_per_panel)[0][-2:] @ vals[0]
+    err, scale = np.max(np.abs(coef)), np.max(np.abs(vals))
     if err <= max(quad.rel_tol * scale, quad.abs_tol):
-        leaves += [(a, m), (m, b)]
-        return refined
+        leaves.append((a, b))
+        return value
     if depth >= quad.max_depth:
         raise NoConvergence(
             f"quadrature did not converge on [{a}, {b}] "
             f"(error {err:.3e}, scale {scale:.3e})")
-    return (_adapt(f, a, m, left, quad, depth + 1, leaves)
-            + _adapt(f, m, b, right, quad, depth + 1, leaves))
+    m = 0.5 * (a + b)
+    return (_adapt(f, a, m, quad, depth + 1, leaves)
+            + _adapt(f, m, b, quad, depth + 1, leaves))
 
 
 def reference_integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     """The recursive rule: one panel call per panel, depth first."""
-    whole = panel(f, a, b, quad.nodes_per_panel)
-    return _adapt(f, a, b, whole, quad, 0, [] if leaves is None else leaves)
+    return _adapt(f, a, b, quad, 0, [] if leaves is None else leaves)
 
 
 def _r_du(ball, radii):
@@ -174,6 +193,26 @@ def test_polygon_balls_match_the_recursive_rule():
         gamma = embed_polygon(K, symmetrize_polygon(
             circumscribed_parallel_polygon(K)))
         _check_against_reference(gamma.ball, gamma.radii)
+
+
+def test_a_polygon_with_constant_radii_is_one_panel_call(monkeypatch):
+    K = random_convex_polygon(np.random.default_rng(12), 12)
+    K1_0 = symmetrize_polygon(circumscribed_parallel_polygon(K))
+    ball = embed_polygon(K, K1_0).ball
+    calls = []
+
+    def counted(f, a, b, n):
+        calls.append(len(a))
+        return panel(f, a, b, n)
+
+    monkeypatch.setattr("normplane.quadrature.panel", counted)
+    radii = np.random.default_rng(13).uniform(0.5, 2.0, ball.n_half)
+    frame = curve_from_radius(ball, np.concatenate([radii, radii])
+                              ).table().frame
+    # one panel per piece: the pieces are the panels
+    assert calls == [ball.n_half]
+    assert len(frame.lo) == ball.n_pieces
+    np.testing.assert_array_equal(frame.ends, ball.breaks[:ball.n_half + 1])
 
 
 def test_scalar_and_array_ends_agree():
