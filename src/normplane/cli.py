@@ -8,7 +8,6 @@ files under --out.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 
@@ -89,11 +88,11 @@ def analyze(curve_path, out_dir, rel_tol):
     """Measures plus the isoperimetric ledger for a curve."""
 
     def run():
-        if rel_tol is not None and not 0 < rel_tol < math.inf:
-            raise ValidationError(
-                f"--rel-tol must be positive and finite, got {rel_tol!r}")
-        quad = (DEFAULT_CONFIG if rel_tol is None
-                else QuadratureConfig(rel_tol=rel_tol))
+        try:
+            quad = (DEFAULT_CONFIG if rel_tol is None
+                    else QuadratureConfig(rel_tol=rel_tol))
+        except ValueError as exc:
+            raise ValidationError(f"--rel-tol: {exc}") from None
         curve = jsonio.load_curve(curve_path, quad=quad)
         report = {"measures": measure_report(curve).to_dict()}
         try:

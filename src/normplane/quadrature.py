@@ -3,9 +3,10 @@ the Legendre operators that turn values at a panel's nodes into series.
 
 integrate chooses panels by chopping Legendre series (Trefethen,
 Approximation Theory and Approximation Practice, 2013; Aurentz and
-Trefethen, "Chopping a Chebyshev series", ACM TOMS, 2017): a panel whose
-interpolant's last coefficients are negligible is accepted as it is, and
-any other is halved."""
+Trefethen, "Chopping a Chebyshev series", ACM TOMS, 2017): a panel is
+sampled at twice the nodes a leaf keeps, and one whose series has decayed
+before the leaf's last coefficients is accepted as it is; any other is
+halved."""
 
 from __future__ import annotations
 
@@ -20,9 +21,10 @@ from numpy.polynomial import legendre
 from .errors import NoConvergence
 
 
-# the trailing Legendre coefficients a panel's chop test reads: two, so
-# that an integrand odd or even about the panel's middle cannot pass on a
-# vanishing coefficient of the other parity
+# the chop test reads a panel's series from degree nodes_per_panel - _TAIL
+# up, so a leaf's last _TAIL coefficients too: two, so that an integrand
+# odd or even about the panel's middle cannot pass on a vanishing
+# coefficient of the other parity
 _TAIL = 2
 
 
@@ -91,11 +93,13 @@ def panel(f, a, b, n):
 
 
 def _chop(vals, quad):
-    """The chop test of panels with values vals (P, n, C) at the Gauss
-    nodes: the largest of each panel's last _TAIL Legendre coefficients,
-    over all components; the largest value, its scale; and whether the
-    first is at most max(rel_tol * scale, abs_tol)."""
-    tail = legendre_operators(vals.shape[1])[0][-_TAIL:]
+    """The chop test of panels with values vals (P, 2n, C) at 2n Gauss
+    nodes, n = nodes_per_panel: the largest Legendre coefficient of each
+    panel's interpolant from degree n - _TAIL up, over all components; the
+    largest value, its scale; and whether the first is at most
+    max(rel_tol * scale, abs_tol)."""
+    n = quad.nodes_per_panel
+    tail = legendre_operators(2 * n)[0][n - _TAIL:]
     err = np.abs(tail @ vals).reshape(len(vals), -1).max(axis=1)
     scale = np.abs(vals).reshape(len(vals), -1).max(axis=1)
     return err, scale, err <= np.maximum(quad.rel_tol * scale, quad.abs_tol)
@@ -106,21 +110,24 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     interval [a[k], b[k]] when a and b are 1-D arrays, on panels chosen by
     the decay of f's Legendre series.
 
-    The rule runs level by level.  Each level is one panel call on every
-    panel still open, on all intervals, so f sees the nodes of the open
-    panels interval by interval, each interval's panels in increasing
-    order.  A panel is accepted when the last Legendre coefficients of the
-    interpolant of f at its nodes are at most max(rel_tol * scale,
-    abs_tol) in every component, scale being f's largest magnitude there
-    (see _chop); an accepted panel's sum is its value, and any other is
-    halved.  A panel still open at max_depth raises NoConvergence.
+    The rule runs level by level.  Each level is one panel call with
+    2 nodes_per_panel nodes on every panel still open, on all intervals,
+    so f sees the nodes of the open panels interval by interval, each
+    interval's panels in increasing order.  A panel is accepted when its
+    interpolant's Legendre coefficients from degree nodes_per_panel - 2 up
+    are at most max(rel_tol * scale, abs_tol) in every component, scale
+    being f's largest magnitude there (see _chop): a series of degree
+    below nodes_per_panel - 2 then holds f at twice the nodes a leaf reads
+    it on, so a feature between those nodes is sampled too.  An accepted
+    panel's sum is its value, and any other is halved.  A panel still open
+    at max_depth raises NoConvergence.
 
     When leaves is a list and some interval is not empty, the accepted
     panels are appended to it as one (k, 2) array of (lo, hi) rows,
     interval by interval and each in increasing order; the integral is the
-    sum of the nodes_per_panel-point rule over exactly those panels, added
-    in the order of the halving tree.  If level 0 accepts all, as for a
-    polygon, the intervals are the leaves.
+    sum of the 2 nodes_per_panel-point rule over exactly those panels,
+    added in the order of the halving tree.  If level 0 accepts all, as
+    for a polygon, the intervals are the leaves.
     """
     scalar = np.ndim(a) == 0
     lo = np.atleast_1d(np.asarray(a, dtype=float))
@@ -133,7 +140,7 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     a, b = lo[owner], hi[owner]
     levels = []   # per level: owner, a, b, accepted, value
     for depth in range(quad.max_depth + 1):
-        value, vals = panel(f, a, b, quad.nodes_per_panel)
+        value, vals = panel(f, a, b, 2 * quad.nodes_per_panel)
         err, scale, ok = _chop(vals, quad)
         levels.append((owner, a, b, ok, value))
         if ok.all():

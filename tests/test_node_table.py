@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII
-from normplane import (QuadratureConfig, builtin_ball, convexifying_shift,
-                       cross2, curve_from_radius, cwms, decompose,
-                       dual_length, is_convex, iso_ledger, measure_report,
-                       mixed_area, pointwise_sum, shifted_by_ball,
-                       signed_area, support_value, wigner_caustic)
+from normplane import (AdmissibleCurve, QuadratureConfig, builtin_ball,
+                       convexifying_shift, cross2, curve_from_radius, cwms,
+                       decompose, dual_length, is_convex, iso_ledger,
+                       measure_report, mixed_area, pointwise_sum,
+                       shifted_by_ball, signed_area, support_value,
+                       wigner_caustic)
 from normplane.ball import Frame
 from normplane.corpus import random_convex_curve
 from normplane.curve import NodeTable
@@ -185,7 +186,7 @@ def test_ledger_terms_share_the_config(coarse22, example22):
 
 
 def test_radius_outside_its_domain_names_piece_and_parameter(euclidean):
-    with pytest.raises(DomainError, match=r"piece 0 .*t=0\.0013"):
+    with pytest.raises(DomainError, match=r"piece 0 .*t=0\.00034"):
         curve_from_radius(euclidean, "sqrt(t - 0.5)")
 
 
@@ -241,18 +242,36 @@ def test_derived_curves_reuse_the_parents_frame(euclidean, monkeypatch):
                                atol=1e-12 * total.diameter)
 
 
+def _dip(at, depth):
+    """A radius below 0 only within sqrt(2 depth) / pi of at + 2 Z."""
+    return lambda t: (1 - depth) - np.exp(np.cos(np.pi * (t - at)) - 1)
+
+
 def test_is_convex_reads_the_panel_ends(euclidean):
     # r < 0 only within 5e-4 of t = 1 and 3, where the frame's panels end
-    # (the ball's breaks) and no node of the table comes near
-    curve = curve_from_radius(
-        euclidean, lambda t: (1 - 1e-6) - np.exp(np.cos(np.pi * (t - 1))
-                                                 - 1))
-    frame = curve.table().frame
-    assert {1.0, 3.0} <= set(frame.lo.tolist())
-    assert np.abs(frame.t.ravel() - [[1.0], [3.0]]).min() > 1e-3
+    # (the ball's breaks); every node of the table, on both halves of the
+    # period, sees r > 0
+    curve = curve_from_radius(euclidean, _dip(1.0, 1e-6))
+    assert {1.0, 3.0} <= set(curve.table().frame.lo.tolist())
+    assert (curve.table().r > 0).all()
     res = is_convex(curve)
     assert not res.convex and abs(res.witness - 1.0) < 1e-2
     assert convexifying_shift(curve) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_is_convex_reads_the_interior_panel_ends(example22):
+    # on Example 2.2's frame, whose panels also end at 1.5 and 3.5 inside
+    # pieces, r < 0 only within 1.5e-4 of those ends, nearer than any node
+    frame = example22.table().frame
+    assert {1.5, 3.5} <= set(frame.lo.tolist())
+    assert not {1.5, 3.5} & set(example22.ball.breaks.tolist())
+    r = _dip(1.5, 1e-7)(frame.t)
+    curve = AdmissibleCurve(example22.ball, NodeTable(frame, r, (0.0, 0.0)),
+                            (0.0, 0.0), check_closure=False)
+    assert (curve.table().r > 0).all()
+    res = is_convex(curve)
+    assert not res.convex and abs(res.witness - 1.5) < 1e-2
+    assert convexifying_shift(curve) == pytest.approx(1e-7, rel=1e-5)
 
 
 def test_series_are_built_on_first_use(mixed, monkeypatch):
