@@ -10,10 +10,10 @@ vector of mode coefficients on its ball's cached Modes.
 
 Every generator draws through one batch path, _coefficients, in the
 random-number order of the old one-curve draws.  Every ledger term is
-linear or quadratic in the coefficients, so run_corpus checks all its
-curves in one array pass against the corpus balls' stacked Gram forms
-(ModeStack), and rebuilds one curve per call as a node table to check the
-Gram values against iso_ledger.
+linear or quadratic in the coefficients, so run_corpus checks its curves
+in blocks, each in one array pass against the corpus balls' stacked Gram
+forms (ModeStack), keeps per-curve scalars only, and rebuilds one curve
+per call as a node table to check the Gram values against iso_ledger.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .ball import builtin_ball
 from .errors import NormPlaneError, NotClosed, NotConvexInput
-from .inequalities import (Polygon, iso_ledger, ledger_terms, minkowski_gap,
+from .inequalities import (Polygon, iso_ledger, ledger_terms,
                            minkowski_terms)
 from .modes import ModeStack, modes_of, per_ball
 
@@ -45,6 +45,7 @@ _KINDS = {
 }
 
 
+@lru_cache(maxsize=1)
 def corpus_balls():
     """The builtin balls of the corpus (builtin_ball builds each once per
     process)."""
@@ -55,6 +56,18 @@ def corpus_balls():
 def _stack(balls):
     """The ModeStack of the corpus balls, built by the first run_corpus."""
     return ModeStack(balls, _KMAX)
+
+
+@lru_cache(maxsize=None)
+def _layout(kind, n_modes):
+    """The columns of kind's 2 n_modes normals in a coefficient row, their
+    scales (None for plain normals) and whether any of its modes is odd."""
+    s, o, scale = _KINDS[kind]
+    k = np.arange(1, n_modes + 1)
+    mode = s * k - o
+    return (np.stack([2 * mode - 1, 2 * mode], axis=-1).ravel(),
+            None if scale is None else np.repeat(scale / k, 2),
+            bool(np.any(mode % 2)))
 
 
 def _coefficients(forms, rng, count, kinds, n_modes):
@@ -72,28 +85,26 @@ def _coefficients(forms, rng, count, kinds, n_modes):
     drawn = [(np.zeros((size, 2 * n_modes)),
               np.ones((size, 2 if _KINDS[kind][2] is None else 3)))
              for kind in kinds]
+    normal, uniform = rng.standard_normal, rng.random
     for i in range(count):
         for z, u in drawn:
-            rng.standard_normal(out=z[i])
-            rng.random(out=u[i])
-    k = np.arange(1, n_modes + 1)
+            normal(out=z[i])
+            uniform(out=u[i])
     out = []
     for kind, (z, u) in zip(kinds, drawn):
-        s, o, scale = _KINDS[kind]
-        mode = s * k - o
+        columns, scale, odd = _layout(kind, n_modes)
         C = np.zeros((size, len(forms.odd)))
-        C[:, np.stack([2 * mode - 1, 2 * mode], axis=-1).ravel()] = \
-            z if scale is None else z * np.repeat(scale / k, 2)
+        C[:, columns] = z if scale is None else z * scale
         C = C.reshape((-1,) + balls + C.shape[-1:])
         u = u.reshape(C.shape[:-1] + u.shape[-1:])
-        if np.any(mode % 2):
+        if odd:
             C[..., 1:3] += per_ball(per_ball(C, forms.gaps), forms.closer)
         if scale is not None:
             vals = per_ball(C, forms.grid)
             lo = vals.min(axis=-1)
             C[..., 0] += -lo + (0.3 + (1.0 - 0.3) * u[..., 0]) * (
                 vals.max(axis=-1) - lo + 0.5)
-        elif not np.any(mode % 2):
+        elif not odd:
             # the constant mode's dual length is 2 A(U)
             C[..., 0] -= forms.dual_lengths(C) / forms.duals[..., 0]
         out.append((C, -1.0 + 2.0 * u[..., -2:]))
@@ -189,67 +200,94 @@ def random_symmetric_convex_polygon(rng, n_half):
 # Batch property harness
 # ---------------------------------------------------------------------------
 
-def _require(forms, C, count, convex):
+# curves per block of run_corpus, a multiple of the corpus balls: each
+# block is drawn, checked and dropped before the next, so memory does not
+# grow with n past a block's lift grid and samples
+_BLOCK = 2048
+
+# the checks in report order: the extreme each reports, and how far past
+# zero its normalised value may go the wrong way before it is a violation
+_CHECKS = {"identity": ("max", 1e-8), "gap_sym": ("min", 1e-9),
+           "gap_cw": ("min", 1e-9), "gap_busemann": ("min", 1e-9),
+           "minkowski_gap": ("min", 1e-9), "orthogonality": ("max", 1e-9)}
+_WORSE = np.array([1.0 if kind == "max" else -1.0
+                   for kind, _ in _CHECKS.values()])   # larger is worse
+_LIMITS = np.array([limit for _, limit in _CHECKS.values()])
+_GAPS = {"gap_sym": "scale", "gap_cw": "scale", "gap_busemann": "scale",
+         "minkowski_gap": "minkowski_scale"}   # gap -> its scale
+_PAIRS = ("symmetric_zero_dual", "constant_width_zero_dual")
+
+# instances within this of their ball's extreme tie, and the lowest is
+# named worst: below it a check's values are roundoff
+_TIE = 1e-13
+
+
+def _require(closed, convex=None):
     """Raise as building the curves would (NotClosed) and as iso_ledger
-    would (NotConvexInput) for the lowest of the count curves of C that
-    fails; pad curves are not checked."""
-    closed = forms.closed(forms, C).reshape(-1)[:count]
+    would (NotConvexInput) for the lowest curve whose flag is False."""
     if not closed.all():
         raise NotClosed(f"corpus curve {np.argmin(closed)} does not close")
-    if convex:
-        bad = (forms.convexity(C) != 1).reshape(-1)[:count]
-        if bad.any():
-            raise NotConvexInput(
-                "the isoperimetric identity requires a positively oriented "
-                f"convex curve (corpus curve {int(np.argmax(bad))})")
+    if convex is not None and not convex.all():
+        raise NotConvexInput(
+            "the isoperimetric identity requires a positively oriented "
+            f"convex curve (corpus curve {int(np.argmin(convex))})")
 
 
 def _oracle(curve, gram):
     """name -> (Gram value, node-table value, normalised difference) for
     L*, A, A_WC, A_CWMS and the Minkowski gap of one curve, the node-table
-    values from iso_ledger and minkowski_gap on the curve.
+    values from iso_ledger, the Minkowski gap from its L*, A(U) and A.
 
     Areas are measured against the ledger's scale, the Minkowski gap
     against its own, and L* against 2 sqrt(A_U scale), the largest L*
     that scale admits."""
     led = iso_ledger(curve)
+    gap, gap_scale = minkowski_terms(led.dual_length, led.ball_area,
+                                     led.curve_area)
     table = {"dual_length": led.dual_length, "curve_area": led.curve_area,
              "wc_area": led.wc_area, "cwms_area": led.cwms_area,
-             "minkowski_gap": minkowski_gap(curve)}
+             "minkowski_gap": gap}
     norm = {"dual_length": 2.0 * np.sqrt(led.ball_area * led.scale),
-            "minkowski_gap": minkowski_terms(led.dual_length, led.ball_area,
-                                             led.curve_area)[1]}
+            "minkowski_gap": gap_scale}
     return {name: (gram[name], value,
                    abs(gram[name] - value) / norm.get(name, led.scale))
             for name, value in table.items()}
 
 
-def _p99(values):
-    """np.percentile(values, 99), without its overhead on small arrays."""
-    s = np.sort(values)
-    pos = 0.99 * (len(s) - 1)
-    k = int(pos)
-    return float(s[k] + (s[min(k + 1, len(s) - 1)] - s[k]) * (pos - k))
+def _p99(values, counts=None):
+    """np.percentile(values, 99, axis=0), without its overhead on small
+    arrays; with counts, that of each column's counts largest entries, the
+    others pads that sort first."""
+    s = np.sort(values, axis=0).reshape(len(values), -1)
+    m = np.maximum(len(s) if counts is None else counts, 1)
+    pos = 0.99 * (m - 1)
+    k = pos.astype(int)
+    # entry (row, column) of the sorted columns, flat
+    lo, hi = (s.ravel()[(len(s) - m + i) * s.shape[1] + np.arange(s.shape[1])]
+              for i in (k, np.minimum(k + 1, m - 1)))
+    return (lo + (hi - lo) * (pos - k)).reshape(np.shape(values)[1:])
 
 
-def _distributions(identity, margins, orthogonality, oracle):
-    """Per ball and check: max and p99 of |identity residual| / lhs, the
-    smallest gap / scale of each gap, the largest |A(sym, cw)| / scale and
-    the oracle's largest difference, each with its worst instance (for
-    orthogonality, its pair).  A ball lists the checks it has instances of."""
-    nb, out = len(CORPUS_BALL_NAMES), {}
-    checks = {"identity": (identity, np.argmax, "max"),
-              **{gap: (values, np.argmin, "min")
-                 for gap, values in margins.items()},
-              "orthogonality": (orthogonality, np.argmax, "max")}
+def _distributions(scalars, counts, oracle):
+    """Per ball and check: the max or min of the check's per-instance
+    values in scalars, and the lowest instance within _TIE of it; the p99
+    of the identity; the oracle's largest difference.  scalars holds a row
+    per check, instance i in column i, pads beyond; counts[c] instances
+    of check c are real.  A ball lists the checks it has instances of."""
+    nb = len(CORPUS_BALL_NAMES)
+    worse = (scalars * _WORSE[:, None]).reshape(len(_CHECKS), -1, nb)
+    top = worse.max(axis=1)
+    tied = worse >= top[:, None] - _TIE
+    worst = (nb * np.argmax(tied, axis=1) + np.arange(nb)).tolist()
+    extreme = (top * _WORSE[:, None]).tolist()
+    p99 = _p99(worse[0], (counts[0] - np.arange(nb) + nb - 1) // nb).tolist()
+    out = {}
     for b, name in enumerate(CORPUS_BALL_NAMES):
-        d = {}
-        for check, (values, pick, kind) in checks.items():
-            if b < len(values):
-                k = int(pick(values[b::nb]))
-                d[check] = {kind: float(values[b::nb][k]), "worst": b + nb * k}
+        d = {check: {kind: extreme[c][b], "worst": worst[c][b]}
+             for c, (check, (kind, _)) in enumerate(_CHECKS.items())
+             if b < counts[c]}
         if "identity" in d:
-            d["identity"]["p99"] = _p99(identity[b::nb])
+            d["identity"]["p99"] = p99[b]
         if oracle is not None and oracle[0] % nb == b:
             d["oracle"] = {"max": oracle[1], "worst": oracle[0]}
         if d:
@@ -262,16 +300,22 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     random convex curves spread across the builtin balls.
 
     Curve i lies on ball i % 4.  The curves, then the pairs, are drawn in
-    one batch each in the one-curve generators' stream order and checked
-    in one array pass against the ModeStack, which reads the balls' Gram
-    forms on every call; pad curves are never reported.  One curve per
-    call, instance seed % n, is also built as a node table and run through
-    iso_ledger and minkowski_gap; a Gram term off by more than 1e-12 of
-    its scale is an "oracle" violation.
+    the one-curve generators' stream order, in blocks of _BLOCK curves or
+    pairs, and each block is checked in one array pass against the
+    ModeStack, which reads the balls' Gram forms on every call; pad curves
+    are never reported.  A block leaves only per-curve scalars behind: its
+    closed and convex flags, |identity residual| / lhs, the four gap
+    margins gap / scale and |A(sym, cw)| / scale, so memory stays flat in
+    n.  Errors name the lowest failing curve over all blocks: closure
+    first, then convexity, then the pairs' closure.  One curve per call,
+    instance seed % n, is also built as a node table and run through
+    iso_ledger; a Gram term off by more than 1e-12 of its scale is an
+    "oracle" violation.
 
     Returns a report dict; report["violations"] is empty on success and
-    report["distributions"] holds, per ball and check, the worst
-    normalised residual or gap margin and the instance it occurs at.
+    report["distributions"] holds, per ball and check, the extreme
+    normalised residual or gap margin over all the ball's instances, and
+    as its worst instance the lowest one within 1e-13 of that extreme.
     inject_bug="cwms-sign" flips the sign of the CWMS area before the
     checks, as a self-test that the harness can detect a broken invariant.
     """
@@ -282,67 +326,90 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     n = max(n, 0)
     n_pairs = orthogonality_pairs if orthogonality_pairs is not None \
         else n // 4
-    [(C, basepoints)] = _coefficients(forms, rng, n, ("convex",), _KMAX)
-    [(Cs, _), (Cw, _)] = _coefficients(
-        forms, rng, n_pairs,
-        ("symmetric_zero_dual", "constant_width_zero_dual"), 2)
-    violations = []
+    scalars = np.empty((len(_CHECKS), -(-max(n, n_pairs, 1) // nb) * nb))
+    # pads, the least finite value once oriented, are never the worst
+    scalars[:] = -np.finfo(float).max * _WORSE[:, None]
+    flags = np.empty((2, n), dtype=bool)       # closed, convex
+    violations, picked, oracle = [], seed % n if n else -1, None
 
     def flag(i, check, **values):
         violations.append({"instance": int(i),
                            "ball": CORPUS_BALL_NAMES[i % nb],
                            "check": check, **values})
 
-    identity, margins, oracle = np.empty(0), {}, None
-    if n:
-        _require(forms, C, n, convex=True)
-        led = {name: np.reshape(values, -1)[:n]
-               for name, values in forms.ledger(C).items()}
-        lhs, residual = led["lhs"], led["identity_residual"]
+    def check(rows, start, values):
+        """Write a block's scalars, values[c, j] of check rows[c] and
+        instance start + j; [(instance, c)] past their limits, in order."""
+        scalars[rows, start:start + values.shape[-1]] = values
+        over = values * _WORSE[rows, None] > _LIMITS[rows, None]
+        return [(start + j, c) for j, c in np.argwhere(over.T).tolist()]
+
+    for start in range(0, n, _BLOCK):
+        count = min(_BLOCK, n - start)
+        [(C, basepoints)] = _coefficients(forms, rng, count, ("convex",),
+                                          _KMAX)
+        at = slice(start, start + count)
+        flags[0, at] = forms.closed(forms, C).reshape(-1)[:count]
+        flags[1, at] = (forms.convexity(C) == 1).reshape(-1)[:count]
+        led = forms.ledger(C)
         if inject_bug == "cwms-sign":
-            residual = ledger_terms(
+            led["identity_residual"] = ledger_terms(
                 led["dual_length"], led["ball_area"], led["curve_area"],
                 led["wc_area"], -led["cwms_area"])["identity_residual"]
-        identity = np.abs(residual) / lhs
-        scales = {"gap_sym": led["scale"], "gap_cw": led["scale"],
-                  "gap_busemann": led["scale"],
-                  "minkowski_gap": led["minkowski_scale"]}
-        margins = {name: led[name] / s for name, s in scales.items()}
-        fails = {"identity": np.abs(residual) > 1e-8 * lhs,
-                 **{name: led[name] < -1e-9 * s
-                    for name, s in scales.items()}}
-        for i in np.flatnonzero(np.any(list(fails.values()), axis=0)):
-            for name, failed in fails.items():
-                if failed[i] and name == "identity":
-                    flag(i, name, residual=float(residual[i]),
-                         lhs=float(lhs[i]))
-                elif failed[i]:
-                    flag(i, name, gap=float(led[name][i]))
+        values = np.stack([np.abs(led["identity_residual"]) / led["lhs"],
+                           *(led[gap] / led[s] for gap, s in _GAPS.items())])
+        for i, c in check(slice(0, 5), start,
+                          values.reshape(5, -1)[:, :count]):
+            j, name = divmod(i - start, nb), list(_CHECKS)[c]
+            if name == "identity":
+                flag(i, name, residual=float(led["identity_residual"][j]),
+                     lhs=float(led["lhs"][j]))
+            else:
+                flag(i, name, gap=float(led[name][j]))
+        if start <= picked < start + count:
+            j = divmod(picked - start, nb)
+            chosen = (C[j], basepoints[j],
+                      {name: float(v[j]) for name, v in led.items()})
+    _require(*flags)
 
-        i = seed % n
-        curve = forms.members[i % nb].curve(balls[i % nb], C[i // nb, i % nb],
-                                            basepoints[i // nb, i % nb])
-        diffs = _oracle(curve, {name: float(led[name][i]) for name in led})
+    if n:
+        c, basepoint, gram = chosen
+        b = picked % nb
+        diffs = _oracle(forms.members[b].curve(balls[b], c, basepoint), gram)
         for name, (got, want, diff) in diffs.items():
             if diff > 1e-12:
-                flag(i, "oracle", quantity=name, gram=got, node_table=want)
-        oracle = i, max(diff for _, _, diff in diffs.values())
+                flag(picked, "oracle", quantity=name, gram=got,
+                     node_table=want)
+        oracle = picked, max(diff for _, _, diff in diffs.values())
 
-    _require(forms, Cs, n_pairs, convex=False)
-    _require(forms, Cw, n_pairs, convex=False)
-    m = forms.areas(Cs, Cw).reshape(-1)[:n_pairs]
-    scale = np.maximum(np.maximum(np.abs(forms.areas(Cs)),
-                                  np.abs(forms.areas(Cw))),
-                       np.maximum(forms.diameters(Cs) * forms.diameters(Cw),
-                                  1e-12)).reshape(-1)[:n_pairs]
-    for j in np.flatnonzero(np.abs(m) > 1e-9 * scale):
-        flag(j, "orthogonality", mixed_area=float(m[j]))
+    # the two kinds of a block as one stack: closure, A(sym), A(cw) with
+    # A(sym, cw), and diameters each in one call
+    pairs_closed = np.empty((2, n_pairs), dtype=bool)
+    found = []
+    for start in range(0, n_pairs, _BLOCK):
+        count = min(_BLOCK, n_pairs - start)
+        [(Cs, _), (Cw, _)] = _coefficients(forms, rng, count, _PAIRS, 2)
+        X = np.concatenate([Cs, Cw])
+        pairs_closed[:, start:start + count] = forms.closed(
+            forms, X).reshape(2, -1)[:, :count]
+        A_s, A_w, m = forms.areas(np.concatenate([X, Cs]),
+                                  np.concatenate([X, Cw])).reshape(
+            3, -1)[:, :count]
+        d_s, d_w = forms.diameters(X).reshape(2, -1)[:, :count]
+        ratio = np.abs(m) / np.maximum(np.maximum(np.abs(A_s), np.abs(A_w)),
+                                       np.maximum(d_s * d_w, 1e-12))
+        found += [(j, float(m[j - start]))
+                  for j, _ in check(slice(5, 6), start, ratio[None])]
+    for closed in pairs_closed:
+        _require(closed)
+    for j, mixed in found:
+        flag(j, "orthogonality", mixed_area=mixed)
 
     return {
         "seed": seed,
         "curves_checked": n,
         "orthogonality_pairs": n_pairs,
         "violations": violations,
-        "distributions": _distributions(identity, margins,
-                                        np.abs(m) / scale, oracle),
+        "distributions": _distributions(scalars, [n] * 5 + [n_pairs],
+                                        oracle),
     }

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ball import norm2
 from .curve import (AdmissibleCurve, NodeTable, bbox_diameter, closure_tol,
                     convexity_sign)
 from .inequalities import ledger_terms, minkowski_terms
@@ -73,7 +74,7 @@ class Forms:
     def closed(self, ball, C):
         """Whether each row passes AdmissibleCurve's closure check on ball
         (a ModeStack passes itself: its diameter holds its balls')."""
-        gap = np.linalg.norm(per_ball(C, self.gaps), axis=-1)
+        gap = norm2(per_ball(C, self.gaps))
         return gap <= closure_tol(gap, ball, lambda: self.diameters(C))
 
     def convexity(self, C):
@@ -87,16 +88,19 @@ class Forms:
 
         The WC radius (r(t) - r(t + T)) / 2 is the odd-k part of c; the
         CWMS radius (r(t) + r(t + T) - w) / 2 the even part less w / 2 on
-        the constant mode.  Convexity is not checked here (convexity()).
+        the constant mode.  The three areas are one Gram product over the
+        rows of C, odd and even together.  Convexity is not checked here
+        (convexity()).
         """
         A_U = self.area
         L = self.dual_lengths(C)
-        A = self.areas(C)
         odd = C * self.odd
         even = C - odd
         even[..., 0] -= 0.5 * L / A_U
-        led = ledger_terms(L, np.broadcast_to(A_U, L.shape), A,
-                           0.5 * self.areas(odd), self.areas(even))
+        A, A_odd, A_even = self.areas(np.concatenate([C, odd, even])).reshape(
+            (3,) + L.shape)
+        led = ledger_terms(L, np.broadcast_to(A_U, L.shape), A, 0.5 * A_odd,
+                           A_even)
         led["minkowski_gap"], led["minkowski_scale"] = minkowski_terms(
             L, A_U, A)
         return led

@@ -1,6 +1,8 @@
 """The corpus generators against a reference built from explicit
 trigonometric-series callables, and a pinned seed; run_corpus's Gram forms
-against the node tables."""
+against the node tables, and run_corpus in blocks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from normplane.corpus import (CORPUS_BALL_NAMES, corpus_balls,
                               random_convex_curve,
                               random_symmetric_convex_curve,
                               random_symmetric_zero_dual, run_corpus)
-from normplane.errors import NotClosed
+from normplane.errors import NotClosed, NotConvexInput
 
 BALLS = {name: {} for name in CORPUS_BALL_NAMES}
 BALLS["regular_2k_gon(5)"] = {"k": 5}
@@ -325,3 +327,110 @@ def test_p99_is_numpys_linear_percentile():
         x = rng.normal(size=size)
         assert corpus._p99(x) == pytest.approx(np.percentile(x, 99),
                                                rel=1e-14, abs=1e-15)
+
+
+# -- run_corpus in blocks of curves -------------------------------------------
+
+NB = len(CORPUS_BALL_NAMES)
+
+
+def _assert_same_report(got, want):
+    """The same violations and worst instances, distribution values
+    within 1e-15.  Products over blocks of other sizes may round otherwise
+    in the last bit, so a violation's values agree to 1e-14 of the largest
+    of them (an identity residual is a difference of areas near lhs)."""
+    assert len(got["violations"]) == len(want["violations"])
+    for g, w in zip(got["violations"], want["violations"]):
+        assert g.keys() == w.keys()
+        scale = max(abs(v) for v in w.values() if isinstance(v, float))
+        for key, value in w.items():
+            if isinstance(value, float):
+                assert abs(g[key] - value) <= 1e-14 * scale, key
+            else:
+                assert g[key] == value, key
+    assert got["distributions"].keys() == want["distributions"].keys()
+    for ball, checks in want["distributions"].items():
+        assert got["distributions"][ball].keys() == checks.keys()
+        for check, d in checks.items():
+            e = got["distributions"][ball][check]
+            assert e.keys() == d.keys()
+            assert e["worst"] == d["worst"], (ball, check)
+            for key in d.keys() - {"worst"}:
+                assert abs(e[key] - d[key]) <= 1e-15, (ball, check, key)
+
+
+@pytest.mark.parametrize("n", [13, 50])
+def test_blocks_of_eight_give_the_one_block_report(monkeypatch, n):
+    # 13 and 50 curves end on a ragged block; 50 curves make 12 pairs, two
+    # pair blocks
+    want = [run_corpus(seed, n, inject_bug=bug)
+            for seed in (4, 9) for bug in (None, "cwms-sign")]
+    monkeypatch.setattr(corpus, "_BLOCK", 8)
+    got = [run_corpus(seed, n, inject_bug=bug)
+           for seed in (4, 9) for bug in (None, "cwms-sign")]
+    for g, w in zip(got, want):
+        _assert_same_report(g, w)
+    assert want[1]["violations"]
+
+
+def test_closure_outranks_convexity_across_blocks(monkeypatch):
+    # curve 2 of block 0 is not convex (its radius negated, still closed);
+    # curve 5 of block 3, instance 29, does not close
+    monkeypatch.setattr(corpus, "_BLOCK", 8)
+    coefficients = corpus._coefficients
+
+    def broken(blocks, open_it):
+        def draw(forms, rng, count, kinds, n_modes):
+            out = coefficients(forms, rng, count, kinds, n_modes)
+            if kinds == ("convex",):
+                C = out[0][0]
+                if not blocks:
+                    C[divmod(2, NB)] *= -1.0
+                if len(blocks) == 3 and open_it:
+                    C[divmod(5, NB)][1] += 1.0
+                blocks.append(count)
+            return out
+        return draw
+
+    monkeypatch.setattr(corpus, "_coefficients", broken([], False))
+    with pytest.raises(NotConvexInput, match=r"corpus curve 2\)"):
+        run_corpus(2, 40)
+    monkeypatch.setattr(corpus, "_coefficients", broken([], True))
+    with pytest.raises(NotClosed, match="corpus curve 29 does"):
+        run_corpus(2, 40)
+
+
+def test_memory_stays_flat_over_blocks():
+    block = corpus._BLOCK
+    run_corpus(0, 12)     # the corpus balls' forms are built once
+    peaks = []
+    for n in (block, 8 * block):
+        tracemalloc.start()
+        try:
+            run_corpus(1, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
+def test_worst_is_the_lowest_instance_tied_with_the_extreme():
+    # 12 curves and 12 pairs: instance i on ball i % 4; every check of ball 0
+    # is roundoff but for one instance, every check of ball 1 has a clear
+    # extreme at instance 5 and a near one at 9
+    scalars = np.full((6, 12), 0.5)
+    scalars[0, [0, 4, 8]] = [3e-16, 1e-16, 5e-16]
+    scalars[1:5, [0, 4, 8]] = [0.0, -2e-16, 1e-16]
+    scalars[5, [0, 4, 8]] = [1e-18, 4e-17, 2e-17]
+    scalars[0, [1, 5, 9]] = scalars[5, [1, 5, 9]] = [0.1, 0.7, 0.7 - 5e-14]
+    scalars[1:5, [1, 5, 9]] = [0.3, 0.2, 0.2 + 2e-13]
+    dist = corpus._distributions(scalars, [12] * 6, None)
+    for check, d in dist["euclidean"].items():
+        kind = "max" if check in ("identity", "orthogonality") else "min"
+        assert d["worst"] == 0, check
+        assert d[kind] == {"max": max, "min": min}[kind](scalars[
+            list(corpus._CHECKS).index(check), [0, 4, 8]])
+    for check, d in dist["square"].items():
+        assert d["worst"] == 5, check
+    assert dist["square"]["identity"]["max"] == 0.7
+    assert dist["square"]["gap_sym"]["min"] == 0.2

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import EXAMPLE22_RADII
 from normplane import (curve_from_radius, cwms, decompose, dual_length,
                        is_constant_width, is_symmetric, mixed_area,
                        signed_area, wigner_caustic)
-from normplane.corpus import (random_constant_width_convex_curve,
+from normplane.corpus import (corpus_balls,
+                              random_constant_width_convex_curve,
                               random_convex_curve,
                               random_symmetric_convex_curve)
 
@@ -145,6 +147,22 @@ class TestStackedPass:
         dec = decompose(example22)
         assert "wc" not in vars(dec) and "cwms" not in vars(dec)
         assert dec.wc is dec.wc and dec.cwms is dec.cwms
+
+    def test_row_0_is_the_signed_area_bit_for_bit(self, mixed):
+        """decompose sums A(gamma) as row 0 of its split table, which is
+        signed_area of the curve's own table to the last bit; once the
+        own table has summed it, decompose reads it from there."""
+        rng = np.random.default_rng(47)
+        example22 = curve_from_radius(mixed, EXAMPLE22_RADII,
+                                      basepoint=(2, 1))
+        curves = [example22] + [random_convex_curve(ball, rng)
+                                for _ in range(100)
+                                for ball in corpus_balls()]
+        for curve in curves:
+            assert "area" not in vars(curve.table())
+            area = decompose(curve).curve_area
+            assert area == signed_area(curve)
+            assert decompose(curve).curve_area == area
 
 
 class TestImageProperties:
