@@ -61,13 +61,18 @@ def _stack(balls):
 @lru_cache(maxsize=None)
 def _layout(kind, n_modes):
     """The columns of kind's 2 n_modes normals in a coefficient row, their
-    scales (None for plain normals) and whether any of its modes is odd."""
+    scales (None for plain normals) and whether any of its modes is odd.
+    Cached, so read-only: every draw of kind shares them."""
     s, o, scale = _KINDS[kind]
     k = np.arange(1, n_modes + 1)
     mode = s * k - o
-    return (np.stack([2 * mode - 1, 2 * mode], axis=-1).ravel(),
-            None if scale is None else np.repeat(scale / k, 2),
-            bool(np.any(mode % 2)))
+    columns = np.stack([2 * mode - 1, 2 * mode], axis=-1).ravel()
+    columns.flags.writeable = False
+    scales = None
+    if scale is not None:
+        scales = np.repeat(scale / k, 2)
+        scales.flags.writeable = False
+    return columns, scales, bool(np.any(mode % 2))
 
 
 def _coefficients(forms, rng, count, kinds, n_modes):
@@ -262,9 +267,8 @@ def _p99(values, counts=None):
     m = np.maximum(len(s) if counts is None else counts, 1)
     pos = 0.99 * (m - 1)
     k = pos.astype(int)
-    # entry (row, column) of the sorted columns, flat
-    lo, hi = (s.ravel()[(len(s) - m + i) * s.shape[1] + np.arange(s.shape[1])]
-              for i in (k, np.minimum(k + 1, m - 1)))
+    cols = np.arange(s.shape[1])
+    lo, hi = (s[len(s) - m + i, cols] for i in (k, np.minimum(k + 1, m - 1)))
     return (lo + (hi - lo) * (pos - k)).reshape(np.shape(values)[1:])
 
 

@@ -59,13 +59,11 @@ def cwms(curve):
 class DecompositionResult:
     """The numbers of the split.  table is the NodeTable over the rows
     [gamma, WC, CWMS] of curve; wc and cwms, its rows 1 and 2 as curves on
-    the curve's frame, are built on first access.  curve_area, row 0's
-    area, is signed_area(curve) bit for bit; to_dict leaves it out."""
+    the curve's frame, are built on first access."""
 
     dual_length: float
     mean_width: float
     residual: float          # max pointwise reconstruction error
-    curve_area: float        # A(gamma), from row 0
     wc_area_raw: float       # signed area over the full period (loop twice)
     wc_area: float           # once-around area of the T-periodic loop
     cwms_area: float
@@ -94,13 +92,11 @@ def decompose(curve):
     """Split a curve into WC + CWMS + (w/2) u and verify the identity.
 
     The curve and its parts are the rows [gamma, WC, CWMS] of the one
-    NodeTable of _split; the curve's area and both part areas come from
-    one Frame.mixed_area over its three rows (over rows 1 and 2 when the
-    curve's own table has summed its area already).  The identity, row 0
-    against rows 1 + 2, is checked at every panel start and node, against
-    1e-9 of the ball's diameter, and of the curve's only when the residual
-    exceeds that.  No curve is built: wc and cwms are made on first
-    access.
+    NodeTable of _split; both part areas come from one Frame.mixed_area
+    over rows 1 and 2.  The identity, row 0 against rows 1 + 2, is checked
+    at every panel start and node, against 1e-9 of the ball's diameter, and
+    of the curve's only when the residual exceeds that.  No curve is built:
+    wc and cwms are made on first access.
 
     The Wigner caustic is T-periodic, so its signed area over the full
     parameter period counts the loop twice; wc_area reports the
@@ -120,15 +116,11 @@ def decompose(curve):
             f"reconstruction residual {residual:.3e} exceeds {tol:.3e}; "
             "this indicates an internal bug")
 
-    own = curve.table()
-    known = "area" in vars(own)    # summed once, as every integral is
-    area, raw, cwms_area = ([own.area] if known else []) + f.mixed_area(
-        gamma[known:], table.r[known:]).tolist()
+    raw, cwms_area = f.mixed_area(gamma[1:], table.r[1:]).tolist()
     return DecompositionResult(
         dual_length=dual_length(curve),
         mean_width=w,
         residual=residual,
-        curve_area=area,
         wc_area_raw=raw,
         wc_area=0.5 * raw,
         cwms_area=cwms_area,

@@ -78,8 +78,7 @@ def iso_ledger(curve):
     """All terms of the isoperimetric identity and its weakened gaps.
 
     Every term, A(U) included, is read from the curve's node table, and
-    L* and A(gamma) from decompose, which sums the one for the mean width
-    and the other with the parts' areas.
+    L* from decompose, which sums it for the mean width.
     """
     conv = is_convex(curve)
     if not (conv.convex and conv.sign >= 0):
@@ -88,7 +87,7 @@ def iso_ledger(curve):
             f"convex curve (witness t={conv.witness})")
     dec = decompose(curve)
     return IsoLedger(**ledger_terms(
-        dec.dual_length, curve.table().frame.area, dec.curve_area,
+        dec.dual_length, curve.table().frame.area, signed_area(curve),
         dec.wc_area, dec.cwms_area))
 
 

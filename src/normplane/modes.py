@@ -97,6 +97,8 @@ class Forms:
         odd = C * self.odd
         even = C - odd
         even[..., 0] -= 0.5 * L / A_U
+        # joined on the row axis and split back: one product per ball,
+        # where stacked on an axis of their own they would take three
         A, A_odd, A_even = self.areas(np.concatenate([C, odd, even])).reshape(
             (3,) + L.shape)
         led = ledger_terms(L, np.broadcast_to(A_U, L.shape), A, 0.5 * A_odd,

@@ -149,9 +149,9 @@ class TestStackedPass:
         assert dec.wc is dec.wc and dec.cwms is dec.cwms
 
     def test_row_0_is_the_signed_area_bit_for_bit(self, mixed):
-        """decompose sums A(gamma) as row 0 of its split table, which is
-        signed_area of the curve's own table to the last bit; once the
-        own table has summed it, decompose reads it from there."""
+        """Row 0 of the split table is the curve: its area, summed with
+        the parts' rows, is signed_area of the curve's own table to the
+        last bit."""
         rng = np.random.default_rng(47)
         example22 = curve_from_radius(mixed, EXAMPLE22_RADII,
                                       basepoint=(2, 1))
@@ -159,10 +159,7 @@ class TestStackedPass:
                                 for _ in range(100)
                                 for ball in corpus_balls()]
         for curve in curves:
-            assert "area" not in vars(curve.table())
-            area = decompose(curve).curve_area
-            assert area == signed_area(curve)
-            assert decompose(curve).curve_area == area
+            assert decompose(curve).table.area[0] == signed_area(curve)
 
 
 class TestImageProperties:
