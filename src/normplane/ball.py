@@ -389,10 +389,13 @@ class UnitBall:
 
     def common_frame(self, f1, f2):
         """The Frame of the coarsest panels that refine both frames': the
-        union of their ends, which both hold every break."""
+        union of their ends, which both hold every break, at the larger of
+        their node counts.  A curve whose radius is a number on every
+        segment has a 3-node frame, so a curve of quad's rule is never read
+        on fewer nodes than its own."""
         if f1 is f2:
             return f1
-        return self._frame_of(np.union1d(f1.ends, f2.ends), f1.n)
+        return self._frame_of(np.union1d(f1.ends, f2.ends), max(f1.n, f2.n))
 
     def _frame_of(self, ends, n):
         """The cached Frame of first-half panel ends, n nodes a panel,

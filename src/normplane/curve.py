@@ -1,18 +1,20 @@
 """Admissible curves: closed curves with gamma'(t) = r(t) u'(t) per piece.
 
 A curve is stored as its ball, a per-piece curvature-radius function and a
-basepoint.  Its numbers come from one node table, built at construction
-under the curve's QuadratureConfig quad: the radius and the points at the
-Gauss-Legendre nodes of the panels that the adaptive rule accepts for
-r u'.  Points between nodes come from each panel's Legendre series of the
-integral of r u'.
+basepoint.  Its numbers come from one node table, built at construction:
+the radius and the points at the Gauss-Legendre nodes of the panels that
+the adaptive rule accepts for r u'.  The rule is the curve's
+QuadratureConfig quad, or quad at 3 nodes a panel when the radius is a
+number on every piece of a ball of segments: r u' is then constant on
+every panel, which every Gauss rule integrates exactly.  Points between
+nodes come from each panel's Legendre series of the integral of r u'.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -52,10 +54,22 @@ def _sampler(i, fn):
     return sample
 
 
+def _number(r):
+    """r as a float if it is a finite number, or text or an Expr without t
+    whose compiled function is finite, the value sampling gives; else
+    None."""
+    if isinstance(r, (str, ex.Expr)):
+        r = ex.constant_value(r)
+    if isinstance(r, numbers.Real) and np.isfinite(r):
+        return float(r)
+    return None
+
+
 def _per_piece(radii, m):
     """The constants of m pieces (zero where a callable is) and the
-    callables by piece; a finite float array is taken whole.  A constant
-    that is not finite stays a callable, raising DomainError if sampled."""
+    callables by piece; a finite float array is taken whole, and text or
+    an Expr without t is a constant.  A constant that is not finite stays
+    a callable, raising DomainError if sampled."""
     if getattr(radii, "dtype", None) == float and radii.shape == (m,):
         if np.isfinite(radii).all():
             return radii.copy(), {}
@@ -64,11 +78,18 @@ def _per_piece(radii, m):
     if len(radii) != m:
         raise ValueError(
             f"need one radius per ball piece ({m}), got {len(radii)}")
-    fns = {i: _coerce_radius(r) for i, r in enumerate(radii)
-           if not (isinstance(r, numbers.Real) and np.isfinite(r))}
-    const = np.array([0.0 if i in fns else r for i, r in enumerate(radii)],
-                     dtype=float)
+    values = [_number(r) for r in radii]
+    fns = {i: _coerce_radius(r) for i, (r, c) in enumerate(zip(radii, values))
+           if c is None}
+    const = np.array([0.0 if c is None else c for c in values])
     return const, fns
+
+
+@lru_cache(maxsize=8)
+def _exact_rule(quad):
+    """quad at the fewest nodes a panel it accepts: the rule of a radius
+    that is a number on every segment, where r u' is constant."""
+    return replace(quad, nodes_per_panel=3)
 
 
 class NodeTable:
@@ -208,10 +229,14 @@ class AdmissibleCurve:
 
     radii is one radius per ball piece, or a single one for all pieces: an
     Expr, expression text, a constant, or a vectorized callable.  A 1-D
-    float array holds one constant per piece.  A one-row NodeTable on a
-    frame of quad, from basepoint, is taken as the curve's table; its
-    radius between nodes is the table's series.  quad is the quadrature
-    rule of every number the curve reports; curves derived from it keep it.
+    float array holds one constant per piece, and text or an Expr without
+    t is the number it evaluates to.  A one-row NodeTable on a frame of
+    quad, from basepoint, is taken as the curve's table; its radius between
+    nodes is the table's series.  quad is the quadrature rule of every
+    number the curve reports, except when its radius is a number on every
+    piece and its ball has no arcs: then r u' is constant on every panel,
+    and its numbers come from quad at 3 nodes a panel, which integrates
+    that exactly.  Curves derived from it keep quad and its frame.
     """
 
     def __init__(self, ball, radii, basepoint, quad=DEFAULT_CONFIG,
@@ -264,12 +289,15 @@ class AdmissibleCurve:
         return r
 
     def _tabulate(self):
-        """The NodeTable on the panels that quad accepts for the radii."""
+        """The NodeTable on the panels that the curve's rule accepts for
+        the radii: quad, or its 3-node rule for numbers on segments."""
         pieces = np.arange(self.ball.n_pieces + 1)
+        exact = not (self._fns or self.ball.arcs)
 
         def sliced(idx, t):     # the frame's idx is sorted
             return self._radius_at(idx, t, idx.searchsorted(pieces))
-        frame = self.ball.frame(self.quad, sliced)
+        frame = self.ball.frame(_exact_rule(self.quad) if exact
+                                else self.quad, sliced)
         return NodeTable(frame, self._radius_at(frame.piece[:, None], frame.t,
                                                 frame.first), self.basepoint)
 

@@ -485,6 +485,16 @@ def compiled(source, order):
     return compile_fn(e)
 
 
+def constant_value(source):
+    """The value of expression text or an Expr without t, as its compiled
+    function gives it at every parameter; None if it has t."""
+    e = _parsed(source) if isinstance(source, str) else as_expr(source)
+    if not is_constant(e):
+        return None
+    with np.errstate(all="ignore"):     # a non-finite value is the caller's
+        return float(compiled(source, 0)(0.0))
+
+
 def as_expr(obj):
     """Coerce text, a number, or an Expr to an Expr."""
     if isinstance(obj, Expr):

@@ -10,10 +10,12 @@ import re
 import numpy as np
 import pytest
 
+from normplane import expressions as ex
 from normplane import (AdmissibleCurve, Piece, Polygon, build_ball,
                        builtin_ball, circumscribed_parallel_polygon, cross2,
-                       curve_from_radius, embed_polygon, lhuilier_check,
-                       polygon_ball, symmetrize_polygon)
+                       curve_from_radius, dual_length, embed_polygon,
+                       lhuilier_check, polygon_ball, signed_area,
+                       symmetrize_polygon)
 from normplane.ball import Frame
 from normplane.corpus import random_convex_polygon
 from normplane.curve import NodeTable, _sampler
@@ -128,6 +130,21 @@ def assert_matches_reference(curve, radii, rng):
     np.testing.assert_array_equal(curve.radius(t), want)
 
 
+def assert_same_curve(c1, c2, tol=1e-14):
+    """r and gamma at 48 nodes a piece, L* and A of c1 and c2 agree within
+    tol of their scale: the largest |r|, the curve's length scale, |L*| and
+    the ledger's L*^2 / (4 A(U))."""
+    ts = c1.sample_params(48)
+    r1, r2 = c1.radius(ts), c2.radius(ts)
+    np.testing.assert_allclose(r1, r2, rtol=0, atol=tol * np.abs(r1).max())
+    np.testing.assert_allclose(c1.point(ts), c2.point(ts), rtol=0,
+                               atol=tol * c1.length_scale)
+    L1, L2 = dual_length(c1), dual_length(c2)
+    assert abs(L1 - L2) <= tol * abs(L1)
+    lhs = L1 * L1 / (4.0 * c1.table().frame.area)
+    assert abs(signed_area(c1) - signed_area(c2)) <= tol * lhs
+
+
 # -- builtin balls: segments, arcs and both in one ball ---------------------
 
 @pytest.mark.parametrize("name, params", BUILTINS,
@@ -169,13 +186,13 @@ def test_polygon_balls_match_the_per_piece_reference():
         gamma = embed_polygon(K, K1_0, ball=ball)
         radii = gamma.radius(ball.t0)
         assert_matches_reference(gamma, [_constant(c) for c in radii], rng)
-        # the same radii as callables give the same table
+        # the same radii as callables take quad's rule, the numbers its
+        # 3-node rule, and both give the same curve
         same = AdmissibleCurve(ball, [_constant(c) for c in radii],
                                gamma.basepoint)
-        assert same.table().frame is gamma.table().frame
-        np.testing.assert_array_equal(same.table().r, gamma.table().r)
-        np.testing.assert_array_equal(same.table().gamma,
-                                      gamma.table().gamma)
+        assert gamma.table().frame.n == 3
+        assert same.table().frame.n == DEFAULT_CONFIG.nodes_per_panel
+        assert_same_curve(gamma, same)
 
 
 # -- constants that are not finite --------------------------------------------
@@ -186,6 +203,11 @@ def test_polygon_balls_match_the_per_piece_reference():
     ([1, 1, np.inf, 1],
      "radius of piece 2 is not finite at t=2.0003474791321141"),
     (np.array([1, 1, np.inf, 1]),
+     "radius of piece 2 is not finite at t=2.0003474791321141"),
+    # text without t whose value is not finite stays a callable
+    ([1, "log(0)", 1, 1],
+     "radius of piece 1 is not finite at t=1.0003474791321139"),
+    ([1, 1, "sqrt(-1)", 1],
      "radius of piece 2 is not finite at t=2.0003474791321141"),
 ])
 def test_non_finite_constant_radius_names_piece_and_parameter(square, radii,
@@ -358,3 +380,19 @@ def test_a_finite_float_array_is_taken_whole(square):
     for same in (radii.tolist(), radii.astype(np.float32)):
         np.testing.assert_array_equal(
             curve_from_radius(square, same).table().r, want)
+
+
+def test_text_without_t_is_a_number(square):
+    # text and an Expr without t are the values their compiled functions
+    # give at every parameter, so they take the rule of number radii
+    radii = ["1/3", ex.parse("2*sqrt(2)"), "1/3", "2*sqrt(2)"]
+    curve = curve_from_radius(square, radii, basepoint=(2.0, -1 / 3))
+    assert curve._fns == {}
+    ts = np.linspace(0.0, 4.0, 7)
+    for c, r in zip(curve._const, radii):
+        assert (ex.compiled(r, 0)(ts) == c).all()
+    want = curve_from_radius(square, curve._const.tolist(),
+                             basepoint=(2.0, -1 / 3))
+    assert curve.table().frame is want.table().frame
+    assert curve.table().frame.n == 3
+    np.testing.assert_array_equal(curve.table().gamma, want.table().gamma)

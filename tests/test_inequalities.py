@@ -328,19 +328,46 @@ def _sweep_cases():
                    _near_parallel(eps, roll).vertices, eps >= 1e-13)
 
 
-def test_near_degenerate_sweep():
-    # a report with a non-negative gap and L* the perimeter, or a named
-    # degeneracy, never another failure
-    for name, verts, due in _sweep_cases():
+def _needle_cases():
+    """8 polygons of 5 to 48 vertices at each of 26 aspect ratios from 1e1
+    to 1e6, log-spaced; any of them may have K1^0 sides below its ball's
+    resolution."""
+    rng = np.random.default_rng(5)
+    for aspect in np.logspace(1, 6, 26):
+        for _ in range(8):
+            n = int(rng.integers(5, 49))
+            yield (f"needle {aspect:.1e} n={n}",
+                   _ellipse_polygon(rng, n, aspect), False)
+
+
+def _assert_report_or_degenerate(cases):
+    """A report with a non-negative gap and L* the perimeter, or a named
+    degeneracy where none is due, never another failure; the counts of
+    both."""
+    reports = degenerate = 0
+    for name, verts, due in cases:
         K = Polygon(verts)
         try:
             rep = lhuilier_check(K)
         except DegenerateIntersection:
             assert not due, name
+            degenerate += 1
             continue
         assert rep.gap >= -1e-9 * rep.scale, name
         per = float(np.sum(np.linalg.norm(K.edges, axis=-1)))
         assert abs(rep.dual_length - per) <= 1e-12 * per, name
+        reports += 1
+    return reports, degenerate
+
+
+def test_near_degenerate_sweep():
+    _assert_report_or_degenerate(_sweep_cases())
+
+
+def test_needle_sweep():
+    reports, degenerate = _assert_report_or_degenerate(_needle_cases())
+    # the sweep crosses the resolution limit
+    assert reports and degenerate
 
 
 # -- the maps the construction respects -------------------------------------

@@ -15,12 +15,15 @@ from normplane import (AdmissibleCurve, QuadratureConfig, builtin_ball,
                        shifted_by_ball, signed_area, support_value,
                        wigner_caustic)
 from normplane.ball import Frame
-from normplane.corpus import random_convex_curve
+from normplane.corpus import random_convex_curve, random_convex_polygon
 from normplane.curve import NodeTable
 from normplane.errors import DomainError
 from normplane.expressions import compile_fn
-from normplane.inequalities import Polygon, lhuilier_check
-from normplane.quadrature import gauss_legendre, integrate, legendre_operators
+from normplane.inequalities import (Polygon, circumscribed_parallel_polygon,
+                                    embed_polygon, lhuilier_check,
+                                    polygon_ball, symmetrize_polygon)
+from normplane.quadrature import (DEFAULT_CONFIG, gauss_legendre, integrate,
+                                  legendre_operators)
 
 ORACLE_BALLS = {
     "euclidean": {}, "square": {}, "regular_2k_gon": {"k": 3},
@@ -240,6 +243,89 @@ def test_derived_curves_reuse_the_parents_frame(euclidean, monkeypatch):
                                c.radius(ts) + wavy.radius(ts), atol=1e-12)
     np.testing.assert_allclose(total.point(ts), c.point(ts) + wavy.point(ts),
                                atol=1e-12 * total.diameter)
+
+
+# -- a radius that is a number on every segment: the 3-node rule ------------
+
+def _lhuilier_ball(seed):
+    """The polygonal ball K1^0 of a seeded polygon K, and K on it."""
+    K = random_convex_polygon(np.random.default_rng(seed), 9)
+    K1_0 = symmetrize_polygon(circumscribed_parallel_polygon(K))
+    ball = polygon_ball(K1_0)
+    return ball, embed_polygon(K, K1_0, ball=ball)
+
+
+def _as_callables(curve):
+    """The curve with each piece's number radius given as a callable."""
+    return AdmissibleCurve(curve.ball, [lambda t, c=c: np.full(np.shape(t), c)
+                                        for c in curve.radius(curve.ball.t0)],
+                           curve.basepoint, quad=curve.quad)
+
+
+@pytest.mark.parametrize("quad", [DEFAULT_CONFIG, COARSE],
+                         ids=["default", "coarse"])
+def test_number_radii_on_segments_take_the_3_node_rule(quad):
+    gon = builtin_ball("regular_2k_gon", k=5)
+    ball, lhuilier = _lhuilier_ball(3)
+    curves = [curve_from_radius(builtin_ball("square"), [0.5, 2, 0.5, 2],
+                                basepoint=(2, -0.5), quad=quad),
+              curve_from_radius(gon, 1.5, quad=quad),
+              AdmissibleCurve(ball, lhuilier.radius(ball.t0),
+                              lhuilier.basepoint, quad=quad)]
+    for curve in curves:
+        frame = curve.table().frame
+        assert frame.n == 3 and curve.quad == quad
+        # derived curves keep the rule and its frame
+        for derived in (curve.translated((1.0, 0.0)),
+                        curve.radius_scaled(2.0),
+                        shifted_by_ball(curve, 0.5),
+                        pointwise_sum(curve, curve),
+                        wigner_caustic(curve), cwms(curve)):
+            assert derived.quad == quad
+            assert derived.table().frame is frame
+        # the same radii as callables take the curve's own rule
+        assert _as_callables(curve).table().frame.n == quad.nodes_per_panel
+
+
+@pytest.mark.parametrize("quad", [DEFAULT_CONFIG, COARSE],
+                         ids=["default", "coarse"])
+@pytest.mark.parametrize("name", ["euclidean", "mixed_example21"])
+def test_number_radii_on_arcs_take_the_curves_rule(name, quad):
+    curve = curve_from_radius(builtin_ball(name), 1.5, quad=quad)
+    assert curve.table().frame.n == quad.nodes_per_panel
+
+
+def test_3_and_32_node_curves_meet_at_32_nodes():
+    # mixed areas and sums of a 3-node curve and a 32-node curve agree with
+    # those of the same curves built from callables, which share one rule;
+    # the bump added on every piece keeps the curve closed (the ball's
+    # edges sum to 0) and refines the wavy curve's panels
+    ball, gamma = _lhuilier_ball(11)
+    same = _as_callables(gamma)
+    wavy = AdmissibleCurve(ball, [lambda t, c=c: c + np.exp(
+        30.0 * np.cos(2.0 * np.pi * t) - 30.0)
+        for c in gamma.radius(ball.t0)], (0.5, -0.25))
+    assert gamma.table().frame.n == 3 and wavy.table().frame.n == 32
+    assert len(wavy.table().frame.ends) > len(gamma.table().frame.ends)
+    scale = max(abs(signed_area(gamma)), abs(signed_area(wavy)),
+                gamma.diameter * wavy.diameter)
+    for got, want in [(mixed_area(gamma, wavy), mixed_area(same, wavy)),
+                      (mixed_area(wavy, gamma), mixed_area(wavy, same))]:
+        assert abs(got - want) <= 1e-14 * scale
+    total, want = pointwise_sum(gamma, wavy), pointwise_sum(same, wavy)
+    frame = total.table().frame
+    assert frame.n == 32 and frame is want.table().frame
+    # gamma's constants read on the 32 nodes; the callables' curve reads
+    # them through its degree-31 series, which rounds to about 4e-14
+    r = gamma.radius(frame.t) + wavy.table().radius_on(frame)
+    np.testing.assert_allclose(total.table().r, r, rtol=0,
+                               atol=1e-14 * np.abs(r).max())
+    ts = gamma.sample_params(48)
+    np.testing.assert_allclose(total.point(ts), want.point(ts), rtol=0,
+                               atol=1e-14 * want.length_scale)
+    assert abs(signed_area(total) - signed_area(want)) <= 1e-14 * scale
+    assert abs(dual_length(total) - dual_length(want)) <= (
+        1e-14 * abs(dual_length(want)))
 
 
 def _dip(at, depth):
