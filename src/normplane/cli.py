@@ -181,6 +181,8 @@ def corpus(seed, count, out_dir, inject_bug):
     def run():
         if seed < 0:
             raise ValidationError(f"--seed must be non-negative, got {seed}")
+        if count < 0:
+            raise ValidationError(f"--n must be non-negative, got {count}")
         from .corpus import run_corpus
         report = run_corpus(seed, count, inject_bug=inject_bug)
         _emit(report, out_dir, "corpus.json")

@@ -208,7 +208,7 @@ def random_symmetric_convex_polygon(rng, n_half):
 # curves per block of run_corpus, a multiple of the corpus balls: each
 # block is drawn, checked and dropped before the next, so memory does not
 # grow with n past a block's lift grid and samples
-_BLOCK = 2048
+_BLOCK = 2 ** 11
 
 # the checks in report order: the extreme each reports, and how far past
 # zero its normalised value may go the wrong way before it is a violation
@@ -353,7 +353,7 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
         [(C, basepoints)] = _coefficients(forms, rng, count, ("convex",),
                                           _KMAX)
         at = slice(start, start + count)
-        flags[0, at] = forms.closed(forms, C).reshape(-1)[:count]
+        flags[0, at] = forms.closed(C).reshape(-1)[:count]
         flags[1, at] = (forms.convexity(C) == 1).reshape(-1)[:count]
         led = forms.ledger(C)
         if inject_bug == "cwms-sign":
@@ -394,8 +394,8 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
         count = min(_BLOCK, n_pairs - start)
         [(Cs, _), (Cw, _)] = _coefficients(forms, rng, count, _PAIRS, 2)
         X = np.concatenate([Cs, Cw])
-        pairs_closed[:, start:start + count] = forms.closed(
-            forms, X).reshape(2, -1)[:, :count]
+        pairs_closed[:, start:start + count] = forms.closed(X).reshape(
+            2, -1)[:, :count]
         A_s, A_w, m = forms.areas(np.concatenate([X, Cs]),
                                   np.concatenate([X, Cw])).reshape(
             3, -1)[:, :count]

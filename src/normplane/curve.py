@@ -332,12 +332,6 @@ class AdmissibleCurve:
         symmetry tolerances are relative to."""
         return max(self.diameter, self.ball.diameter)
 
-    def sample_params(self, per_piece):
-        """per_piece Gauss-Legendre nodes on every piece."""
-        x, _ = gauss_legendre(per_piece)
-        t0, t1 = self.ball.t0[:, None], self.ball.t1[:, None]
-        return (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x).ravel()
-
     # -- algebra ------------------------------------------------------------
 
     def _derived(self, frame, r, basepoint):
@@ -358,14 +352,21 @@ class AdmissibleCurve:
                              else basepoint)
 
 
-def pointwise_sum(c1, c2):
-    """The curve t -> c1(t) + c2(t); radii add, basepoints add."""
+def common_tables(c1, c2):
+    """(frame, t1, t2): the two curves' node tables and the Frame both
+    are read on, UnitBall.common_frame of theirs.  The curves must share a
+    ball and a quadrature rule."""
     if c1.ball is not c2.ball:
         raise MismatchedBalls("curves live on different balls")
     if c1.quad != c2.quad:
         raise ValueError("curves must share a quadrature rule")
     t1, t2 = c1.table(), c2.table()
-    frame = c1.ball.common_frame(t1.frame, t2.frame)
+    return c1.ball.common_frame(t1.frame, t2.frame), t1, t2
+
+
+def pointwise_sum(c1, c2):
+    """The curve t -> c1(t) + c2(t); radii add, basepoints add."""
+    frame, t1, t2 = common_tables(c1, c2)
     return c1._derived(frame, t1.radius_on(frame) + t2.radius_on(frame),
                        c1.basepoint + c2.basepoint)
 

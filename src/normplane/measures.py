@@ -1,5 +1,10 @@
 """Scalar measures of admissible curves: dual length, mixed and signed
-areas, mean width, support values, and the width/symmetry predicates."""
+areas, mean width, support values, and the width/symmetry predicates.
+
+Every measure reads the curve's node table.  The width profile and the
+symmetry test read gamma at the nodes ts of the table's first half and at
+ts + T, its second half, and the dual point v = u' / [u, u'] from the
+frame; support_value alone reads gamma and v at arbitrary parameters."""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ball import cross2, following
-from .errors import MismatchedBalls
+from .curve import common_tables
 
 
 def dual_length(curve):
@@ -24,12 +29,7 @@ def mixed_area(c1, c2):
     c1's points and c2's radius come from their panel series.  The two
     curves must share a ball and a quadrature rule.
     """
-    if c1.ball is not c2.ball:
-        raise MismatchedBalls("curves live on different balls")
-    if c1.quad != c2.quad:
-        raise ValueError("curves must share a quadrature rule")
-    t1, t2 = c1.table(), c2.table()
-    frame = c1.ball.common_frame(t1.frame, t2.frame)
+    frame, t1, t2 = common_tables(c1, c2)
     return float(frame.mixed_area(t1.gamma_on(frame), t2.radius_on(frame)))
 
 
@@ -49,25 +49,22 @@ def support_value(curve, t):
 
 
 def _antipodal_points(curve):
-    """(ts, gamma(ts)) for ts the 48 Gauss nodes per piece stacked over
-    themselves shifted by T, shape (2, m): gamma is read once."""
-    ts = curve.sample_params(48)
-    ts = np.stack([ts, ts + curve.ball.T])
-    return ts, curve.point(ts)
-
-
-def _widths(curve, ts, points):
-    """[gamma,v](t) + [gamma,v](t+T) from _antipodal_points, with the dual
-    points at both rows of ts read in one call."""
-    s = cross2(points, curve.ball.dual(ts))
-    return s[0] + s[1]
+    """(ts, gamma(ts), gamma(ts + T)) for ts the nodes of the first half of
+    the curve's node table, each of shape (P/2, n, ...).  Panel p + P/2 is
+    panel p shifted by T, so gamma(ts + T) is the table's second half."""
+    table = curve.table()
+    h = len(table.r) // 2
+    return table.frame.t[:h], table.gamma[:h], table.gamma[h:]
 
 
 def width_profile(curve):
     """(params, widths) with width(t) = [gamma,v](t) + [gamma,v](t+T), at
-    48 Gauss nodes per piece."""
-    ts, points = _antipodal_points(curve)
-    return ts[0], _widths(curve, ts, points)
+    the nodes of the first half of the curve's node table: as v(t + T) =
+    -v(t), it is [gamma(t) - gamma(t+T), v(t)], v = u' / [u, u'] read
+    from the frame."""
+    ts, g, gT = _antipodal_points(curve)
+    f, h = curve.table().frame, len(ts)
+    return ts.ravel(), cross2(g - gT, f.du[:h] / f.cross[:h, :, None]).ravel()
 
 
 @dataclass(frozen=True)
@@ -97,15 +94,10 @@ def is_symmetric(curve):
     The curve is first re-centered by the mean of its midpoint curve
     (gamma(t) + gamma(t+T)) / 2, so symmetry about any center counts.
     """
-    return _symmetric(curve, *_antipodal_points(curve)[1])
-
-
-def _symmetric(curve, g, gT):
-    mid = 0.5 * (g + gT)
-    center = mid.mean(axis=0)
+    _, g, gT = _antipodal_points(curve)
+    center = (0.5 * (g + gT)).reshape(-1, 2).mean(axis=0)
     dev = float(np.max(np.linalg.norm(g + gT - 2 * center, axis=-1)))
-    scale = curve.length_scale
-    return dev < 1e-8 * scale
+    return dev < 1e-8 * curve.length_scale
 
 
 def shoelace_area(points):
@@ -140,17 +132,16 @@ class MeasureReport:
 
 def measure_report(curve):
     """Compute all scalar measures of a curve in one go, every one read
-    from its node table; the width profile and the symmetry test share
-    one reading of gamma at ts and ts + T together."""
+    from its node table; the width profile and the symmetry test read
+    gamma at the same nodes."""
     L = dual_length(curve)
-    ts, points = _antipodal_points(curve)
-    profile = _widths(curve, ts, points)
-    cw = _width_check(curve, ts[0], profile)
+    ts, profile = width_profile(curve)
+    cw = _width_check(curve, ts, profile)
     return MeasureReport(
         dual_length=L,
         signed_area=signed_area(curve),
         mean_width=L / curve.table().frame.area,
-        is_symmetric=_symmetric(curve, *points),
+        is_symmetric=is_symmetric(curve),
         is_constant_width=cw.constant,
         width_constant=cw.value,
         width_profile_min=float(np.min(profile)),

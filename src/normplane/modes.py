@@ -71,11 +71,11 @@ class Forms:
         return bbox_diameter(points.reshape(points.shape[:-1]
                                             + knots.shape[-2:]))
 
-    def closed(self, ball, C):
-        """Whether each row passes AdmissibleCurve's closure check on ball
-        (a ModeStack passes itself: its diameter holds its balls')."""
+    def closed(self, C):
+        """Whether each row passes AdmissibleCurve's closure check, against
+        the ball's diameter (a ModeStack's holds each of its balls')."""
         gap = norm2(per_ball(C, self.gaps))
-        return gap <= closure_tol(gap, ball, lambda: self.diameters(C))
+        return gap <= closure_tol(gap, self, lambda: self.diameters(C))
 
     def convexity(self, C):
         """is_convex's sign of each row, read at the same nodes and panel
@@ -111,12 +111,13 @@ class Forms:
 class Modes(Forms):
     """The modes 1, cos(k pi (t - t0) / T), sin(...), k = 1..kmax, on one
     Frame of a ball chosen for all of them: their values at the nodes and
-    on the lift grid, closure gaps and dual lengths.  Holds no reference
-    to the ball, which keys the cache weakly.
+    on the lift grid, closure gaps and dual lengths, and the ball's
+    diameter.  Holds no reference to the ball, which keys the cache
+    weakly.
     """
 
     def __init__(self, ball, kmax):
-        self.t_start = ball.t_start
+        self.t_start, self.diameter = ball.t_start, ball.diameter
         self.freq = np.arange(1, kmax + 1) * np.pi / ball.T
         frame = self.frame = ball.frame(DEFAULT_CONFIG,
                                         lambda idx, t: self.values(t))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from normplane import builtin_ball, curve_from_radius, expressions
+from normplane.quadrature import gauss_legendre
 
 EXAMPLE22_RADII = [
     "1",
@@ -58,6 +59,13 @@ def rectangle(square):
     curve = curve_from_radius(square, [b, a, b, a], basepoint=(a, -b))
     curve.ab = (a, b)
     return curve
+
+
+def gauss_params(ball, per_piece):
+    """per_piece Gauss-Legendre nodes on every piece of ball, in order."""
+    x, _ = gauss_legendre(per_piece)
+    t0, t1 = ball.t0[:, None], ball.t1[:, None]
+    return (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x).ravel()
 
 
 def rect_curve(square, a, b):

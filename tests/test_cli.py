@@ -408,6 +408,16 @@ class TestCorpus:
         assert json.loads(res.stderr.splitlines()[-1])["error"] == \
             "ValidationError"
 
+    def test_negative_count_is_invalid_input(self):
+        res = run_cli("corpus", "--seed", "1", "--n", "-3")
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1])["error"] == \
+            "ValidationError"
+        assert res.stdout == ""
+        res = run_cli("corpus", "--seed", "1", "--n", "0")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["curves_checked"] == 0
+
     def test_injected_bug_is_caught(self):
         res = run_cli("corpus", "--seed", "1", "--n", "4",
                       "--inject-bug", "cwms-sign")

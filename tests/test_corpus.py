@@ -249,7 +249,7 @@ def test_batched_closure_matches_not_closed(ball_name):
         opened = c.copy()
         opened[1] += factor * tol / unit
         rows.append(opened)
-    verdicts = modes.closed(ball, np.array(rows))
+    verdicts = modes.closed(np.array(rows))
     assert verdicts.tolist() == [True, True, False, False]
     for opened, closed in zip(rows, verdicts):
         if closed:

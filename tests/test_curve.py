@@ -9,7 +9,7 @@ from normplane import (AdmissibleCurve, builtin_ball, convexifying_shift,
                        jsonio, pointwise_sum, shifted_by_ball)
 from normplane.errors import DomainError, NotAdmissible, NotClosed
 
-from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII
+from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII, gauss_params
 
 
 class TestFromRadius:
@@ -79,7 +79,7 @@ class TestFromRadius:
 class TestFromExplicit:
     def test_example22_radius_recovery(self, mixed, example22):
         curve = curve_from_explicit(mixed, EXAMPLE22_EXPLICIT)
-        ts = curve.sample_params(32)
+        ts = gauss_params(curve.ball, 32)
         np.testing.assert_allclose(curve.radius(ts), example22.radius(ts),
                                    atol=1e-9)
         np.testing.assert_allclose(curve.basepoint, [2, 1], atol=1e-12)
@@ -91,7 +91,7 @@ class TestFromExplicit:
                                ("t-3", "2-t"),
                                ("cos(pi/2*t)", "sin(pi/2*t)")]]
         curve = curve_from_explicit(mixed, pieces)
-        ts = curve.sample_params(16)
+        ts = gauss_params(curve.ball, 16)
         np.testing.assert_allclose(curve.radius(ts), 3.0, atol=1e-10)
 
     def test_second_load_compiles_nothing(self, mixed, monkeypatch):
@@ -162,7 +162,7 @@ class TestAlgebra:
     def test_radius_roundtrip(self, mixed, example22):
         # evaluate the curve, re-derive the radius from explicit pieces
         curve = curve_from_explicit(mixed, EXAMPLE22_EXPLICIT)
-        ts = curve.sample_params(48)
+        ts = gauss_params(curve.ball, 48)
         np.testing.assert_allclose(curve.radius(ts), example22.radius(ts),
                                    atol=1e-9)
 

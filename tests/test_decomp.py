@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import EXAMPLE22_RADII
+from conftest import EXAMPLE22_RADII, gauss_params
 from normplane import (curve_from_radius, cwms, decompose, dual_length,
                        is_constant_width, is_symmetric, mixed_area,
                        signed_area, wigner_caustic)
@@ -75,7 +75,7 @@ class TestDecomposition:
             dual_length(example22) / example22.ball.area, rel=1e-12)
 
     def test_projections_are_idempotent(self, example22):
-        ts = example22.sample_params(16)
+        ts = gauss_params(example22.ball, 16)
         wc = wigner_caustic(example22)
         wc2 = wigner_caustic(wc)
         np.testing.assert_allclose(wc2.radius(ts), wc.radius(ts),
@@ -102,7 +102,7 @@ class TestDecomposition:
     def test_cross_projections_vanish(self, example22):
         # WC is anti-symmetric material, CWMS symmetric: projecting either
         # through the other kills the radius
-        ts = example22.sample_params(16)
+        ts = gauss_params(example22.ball, 16)
         np.testing.assert_allclose(
             cwms(wigner_caustic(example22)).radius(ts), 0.0, atol=1e-10)
         np.testing.assert_allclose(

@@ -22,7 +22,7 @@ from normplane.curve import NodeTable, _sampler
 from normplane.errors import DomainError
 from normplane.quadrature import DEFAULT_CONFIG, integrate
 
-from conftest import EXAMPLE22_RADII
+from conftest import EXAMPLE22_RADII, gauss_params
 
 BUILTINS = ([("square", {}), ("euclidean", {}), ("mixed_example21", {})]
             + [("regular_2k_gon", {"k": k}) for k in range(2, 9)])
@@ -134,7 +134,7 @@ def assert_same_curve(c1, c2, tol=1e-14):
     """r and gamma at 48 nodes a piece, L* and A of c1 and c2 agree within
     tol of their scale: the largest |r|, the curve's length scale, |L*| and
     the ledger's L*^2 / (4 A(U))."""
-    ts = c1.sample_params(48)
+    ts = gauss_params(c1.ball, 48)
     r1, r2 = c1.radius(ts), c2.radius(ts)
     np.testing.assert_allclose(r1, r2, rtol=0, atol=tol * np.abs(r1).max())
     np.testing.assert_allclose(c1.point(ts), c2.point(ts), rtol=0,

@@ -6,9 +6,12 @@ from normplane import (builtin_ball, curve_from_radius, dual_length,
                        measure_report, mixed_area, pointwise_sum,
                        polygonal_area, shoelace_area, signed_area,
                        support_value, wigner_caustic, cwms)
+from normplane.ball import UnitBall
 from normplane.curve import AdmissibleCurve
-from normplane.corpus import (random_constant_width_convex_curve,
-                              random_convex_curve)
+from normplane.corpus import (corpus_balls,
+                              random_constant_width_convex_curve,
+                              random_convex_curve,
+                              random_symmetric_convex_curve)
 from normplane.errors import MismatchedBalls
 from normplane.measures import MeasureReport, width_profile
 
@@ -217,20 +220,38 @@ def _parent_report(curve):
 
 
 @pytest.mark.parametrize("which", ["example22", "circle_cos2"])
-def test_measure_report_reads_gamma_once(which, example22, euclidean,
-                                         monkeypatch):
+def test_measure_report_reads_only_the_table(which, example22, euclidean,
+                                             monkeypatch):
     curve = example22 if which == "example22" else curve_from_radius(
         euclidean, "1.3+0.4*cos(pi*t)", basepoint=(0.3, -0.2))
     want = _parent_report(curve)
     calls = []
-    point = AdmissibleCurve.point
-
-    def counted(self, t):
-        calls.append(np.size(t))
-        return point(self, t)
-
-    monkeypatch.setattr(AdmissibleCurve, "point", counted)
+    for cls, name in [(AdmissibleCurve, "point"), (UnitBall, "dual")]:
+        def counted(self, t, _f=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _f(self, t)
+        monkeypatch.setattr(cls, name, counted)
     got = measure_report(curve)
-    # one read of gamma at ts and ts + T together
-    assert calls == [2 * len(curve.sample_params(48))]
+    # gamma and v come from the node table and its frame
+    assert calls == []
     assert repr(got) == repr(want)
+
+
+def test_width_extremes_inside_a_dense_sweep():
+    """The extremes of W at the table's nodes against support_value at
+    10^5 parameters over half a period: never outside the sweep's range
+    beyond roundoff, and within 1e-3 of the largest width inside it."""
+    rng = np.random.default_rng(26)
+    for make in (random_convex_curve, random_symmetric_convex_curve,
+                 random_constant_width_convex_curve):
+        for ball in corpus_balls():
+            curve = make(ball, rng)
+            rep = measure_report(curve)
+            ts = np.linspace(ball.t_start, ball.t_start + ball.T, 100_000,
+                             endpoint=False)
+            w = support_value(curve, ts) + support_value(curve, ts + ball.T)
+            lo, hi = rep.width_profile_min, rep.width_profile_max
+            assert w.min() - lo <= 1e-12 * curve.length_scale
+            assert hi - w.max() <= 1e-12 * curve.length_scale
+            assert lo - w.min() <= 1e-3 * w.max()
+            assert w.max() - hi <= 1e-3 * w.max()

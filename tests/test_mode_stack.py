@@ -35,18 +35,17 @@ def test_stacked_pass_matches_each_balls_modes(n):
     C, Cs, Cw = draw(forms, 11, n)
     assert C.shape == (-(-n // NB), NB, 9) and Cs.shape == (1, NB, 9)
     led = forms.ledger(C)
-    closed, signs = forms.closed(forms, C), forms.convexity(C)
+    closed, signs = forms.closed(C), forms.convexity(C)
     diameters = forms.diameters(C)
     for i in range(n):
         row, b = divmod(i, NB)
-        ball, modes = corpus_balls()[b], forms.members[b]
-        c = C[row, b][None]
+        modes, c = forms.members[b], C[row, b][None]
         want = modes.ledger(c)
         for name, value in want.items():
             scale = want["minkowski_scale" if name.startswith("minkowski")
                          else "scale"][0]
             assert abs(led[name][row, b] - value[0]) <= 1e-13 * scale, name
-        assert closed[row, b] == modes.closed(ball, c)[0]
+        assert closed[row, b] == modes.closed(c)[0]
         assert signs[row, b] == modes.convexity(c)[0] == 1
         assert abs(diameters[row, b] - modes.diameters(c)[0]) \
             <= 1e-13 * diameters[row, b]
@@ -56,8 +55,7 @@ def test_stacked_pass_matches_each_balls_modes(n):
         modes = forms.members[b]
         scale = modes.diameters(cs)[0] * modes.diameters(cw)[0]
         assert abs(mixed[0, b] - modes.areas(cs, cw)[0]) <= 1e-13 * scale
-        assert forms.closed(forms, Cs)[0, b] == modes.closed(
-            corpus_balls()[b], cs)[0]
+        assert forms.closed(Cs)[0, b] == modes.closed(cs)[0]
 
 
 def _poisoned(monkeypatch, fill):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII
+from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII, gauss_params
 from normplane import (AdmissibleCurve, QuadratureConfig, builtin_ball,
                        convexifying_shift, cross2, curve_from_radius, cwms,
                        decompose, dual_length, is_convex, iso_ledger,
@@ -22,6 +22,7 @@ from normplane.expressions import compile_fn
 from normplane.inequalities import (Polygon, circumscribed_parallel_polygon,
                                     embed_polygon, lhuilier_check,
                                     polygon_ball, symmetrize_polygon)
+from normplane.measures import width_profile
 from normplane.quadrature import (DEFAULT_CONFIG, gauss_legendre, integrate,
                                   legendre_operators)
 
@@ -193,17 +194,46 @@ def test_radius_outside_its_domain_names_piece_and_parameter(euclidean):
         curve_from_radius(euclidean, "sqrt(t - 0.5)")
 
 
-def test_measure_report_reads_the_table_of_its_config(coarse22):
-    rep = measure_report(coarse22)
-    table = coarse22.table()
-    assert rep.mean_width == dual_length(coarse22) / table.frame.area
-    assert rep.signed_area == signed_area(coarse22)
-    # the width profile samples the coarse table
-    ts = coarse22.sample_params(48)
-    want = (support_value(coarse22, ts)
-            + support_value(coarse22, ts + coarse22.ball.T))
-    assert rep.width_profile_min == float(np.min(want))
-    assert rep.width_profile_max == float(np.max(want))
+def _width_case(name, rule):
+    """A curve on builtin ball name: numbers on its pieces (a 3-node frame
+    on a ball of segments), a seeded corpus curve (32 nodes), or a
+    T-periodic callable radius under COARSE (6 nodes)."""
+    ball = builtin_ball(name)
+    if rule == "numbers":
+        # antipodal pieces share a radius, so the curve closes
+        n = ball.n_half
+        return curve_from_radius(ball, [0.6 + 0.3 * (i % n) / n
+                                        for i in range(2 * n)])
+    if rule == "modes":
+        return random_convex_curve(ball, np.random.default_rng(26))
+    k = np.pi / ball.T
+    return curve_from_radius(
+        ball, lambda t: 1.2 + 0.3 * np.cos(2 * k * (t - ball.t_start))
+        + 0.2 * np.sin(4 * k * (t - ball.t_start)),
+        basepoint=(0.4, -0.3), quad=COARSE)
+
+
+@pytest.mark.parametrize("rule", ["numbers", "modes", "coarse"])
+@pytest.mark.parametrize("name", ["euclidean", "square", "regular_2k_gon",
+                                  "mixed_example21"])
+def test_width_at_the_nodes_is_the_support_sum(name, rule):
+    curve = _width_case(name, rule)
+    frame = curve.table().frame
+    nodes = {"numbers": 32 if curve.ball.arcs else 3, "modes": 32,
+             "coarse": COARSE.nodes_per_panel}
+    assert frame.n == nodes[rule]
+    ts, w = width_profile(curve)
+    np.testing.assert_array_equal(ts, frame.t[:len(frame.t) // 2].ravel())
+    # the series of gamma and the exact dual at the same parameters
+    want = (support_value(curve, ts)
+            + support_value(curve, ts + curve.ball.T))
+    np.testing.assert_allclose(w, want, rtol=0,
+                               atol=1e-12 * curve.length_scale)
+    rep = measure_report(curve)
+    assert rep.width_profile_min == float(np.min(w))
+    assert rep.width_profile_max == float(np.max(w))
+    assert rep.mean_width == dual_length(curve) / frame.area
+    assert rep.signed_area == signed_area(curve)
 
 
 def test_curves_of_different_rules_do_not_mix(coarse22, example22):
@@ -320,7 +350,7 @@ def test_3_and_32_node_curves_meet_at_32_nodes():
     r = gamma.radius(frame.t) + wavy.table().radius_on(frame)
     np.testing.assert_allclose(total.table().r, r, rtol=0,
                                atol=1e-14 * np.abs(r).max())
-    ts = gamma.sample_params(48)
+    ts = gauss_params(gamma.ball, 48)
     np.testing.assert_allclose(total.point(ts), want.point(ts), rtol=0,
                                atol=1e-14 * want.length_scale)
     assert abs(signed_area(total) - signed_area(want)) <= 1e-14 * scale
