@@ -14,6 +14,7 @@ import weakref
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from . import expressions as ex
 from .errors import (DegenerateDual, DegeneratePiece, DomainError, NotClosed,
@@ -128,7 +129,8 @@ class Frame:
     increasing order, each inside one piece, so panel p + P/2 is panel p
     shifted by T.  weights holds the quadrature weight of every node, so the
     integral over the period of a function with values v at the nodes t is
-    integral(v).  Values are gathered per panel, u_lo and area on first use.
+    integral(v).  Values are gathered per panel; u_lo, area and
+    drawing_basis on first use.
     """
 
     def __init__(self, ball, ends, n):
@@ -176,6 +178,50 @@ class Frame:
         p = np.clip(np.searchsorted(self.lo, t, side="right") - 1,
                     0, len(self.lo) - 1)
         return p, (t - self.mid[p]) / self.half[p]
+
+    @cached_property
+    def drawing_basis(self):
+        """The reduced parameters t of the ball's drawing grid, their panel
+        index and the degree-n Legendre basis there, shapes (S,), (S,) and
+        (S, n + 1): what NodeTable.points locates and builds at t for a
+        curve's series.  About 135 KB for 32 nodes; a frame keeps no other
+        basis."""
+        t = self._ball().drawing_grid.reduced
+        p, x = self.locate(t)
+        V = legendre.legvander(x, self.n)
+        p.flags.writeable = V.flags.writeable = False
+        return t, p, V
+
+
+class DrawingGrid:
+    """The parameters `normplane decompose` draws a ball's curves at.
+
+    t holds SIZE parameters evenly spaced over one period from t_start,
+    and reduced the same reduced, as NodeTable.points reads them; a report
+    keeps the first REPORTED.  u, the ball at t, and dual, its dual point
+    DUAL_STEP past each, are built on first use.  The arrays are read-only.
+    """
+
+    SIZE, REPORTED, DUAL_STEP = 512, 128, 1e-6
+
+    def __init__(self, ball):
+        self._ball = weakref.ref(ball)   # the ball caches its grid
+        self.t = np.linspace(ball.t_start, ball.t_start + 2 * ball.T,
+                             self.SIZE, endpoint=False)
+        self.reduced = ball.reduce(self.t)
+        self.t.flags.writeable = self.reduced.flags.writeable = False
+
+    @cached_property
+    def u(self):
+        u = self._ball().point(self.t)
+        u.flags.writeable = False
+        return u
+
+    @cached_property
+    def dual(self):
+        v = self._ball().dual(self.t + self.DUAL_STEP)
+        v.flags.writeable = False
+        return v
 
 
 class UnitBall:
@@ -408,6 +454,11 @@ class UnitBall:
             ends.flags.writeable = False    # the frame's key
             frame = self._frames[key] = Frame(self, ends, n)
         return frame
+
+    @cached_property
+    def drawing_grid(self):
+        """The DrawingGrid of this ball, built on first use."""
+        return DrawingGrid(self)
 
     @property
     def area(self):

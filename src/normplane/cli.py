@@ -12,7 +12,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import jsonio, svg
 from .decomp import decompose as decompose_curve
@@ -116,21 +115,20 @@ def decompose(curve_path, out_dir, want_svg):
     def run():
         curve = jsonio.load_curve(curve_path)
         dec = decompose_curve(curve)
-        # the SVG draws 512 parameters; the report keeps the first 128
-        ts = np.linspace(curve.ball.t_start,
-                         curve.ball.t_start + 2 * curve.ball.T, 512,
-                         endpoint=False)[:512 if want_svg else 128]
-        g, wc, cw = dec.table.points(curve.ball.reduce(ts))
+        # the SVG draws the ball's drawing grid; the report keeps its
+        # first rows
+        grid = curve.ball.drawing_grid
+        g, wc, cw = dec.table.drawn(grid.SIZE if want_svg else grid.REPORTED)
         report = dec.to_dict()
-        report["wc_samples"] = wc[:128]
-        report["cwms_samples"] = cw[:128]
+        report["wc_samples"] = wc[:grid.REPORTED]
+        report["cwms_samples"] = cw[:grid.REPORTED]
         _emit(report, out_dir, "decomposition.json")
         if want_svg:
             layers = [
                 svg.Layer("curve", g, "black"),
-                svg.Layer("unit ball", curve.ball.point(ts), "gray"),
-                svg.Layer("dual samples", curve.ball.dual(ts + 1e-6),
-                          "goldenrod", closed=False, width=0.8),
+                svg.Layer("unit ball", grid.u, "gray"),
+                svg.Layer("dual samples", grid.dual, "goldenrod",
+                          closed=False, width=0.8),
                 svg.Layer("WC", wc, "crimson"),
                 svg.Layer("CWMS", cw, "royalblue"),
             ]

@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ball import builtin_ball
-from .errors import NormPlaneError, NotClosed, NotConvexInput
+from .errors import (NormPlaneError, NotClosed, NotConvexInput,
+                     ValidationError)
 from .inequalities import (Polygon, iso_ledger, ledger_terms,
                            minkowski_terms)
 from .modes import ModeStack, modes_of, per_ball
@@ -316,6 +317,9 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     iso_ledger; a Gram term off by more than 1e-12 of its scale is an
     "oracle" violation.
 
+    seed, n and orthogonality_pairs must be non-negative, or a
+    ValidationError is raised; n = 0 checks nothing.
+
     Returns a report dict; report["violations"] is empty on success and
     report["distributions"] holds, per ball and check, the extreme
     normalised residual or gap margin over all the ball's instances, and
@@ -323,11 +327,14 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     inject_bug="cwms-sign" flips the sign of the CWMS area before the
     checks, as a self-test that the harness can detect a broken invariant.
     """
+    for name, value in (("seed", seed), ("n", n),
+                        ("orthogonality_pairs", orthogonality_pairs)):
+        if value is not None and value < 0:
+            raise ValidationError(f"{name} must be non-negative, got {value}")
     rng = np.random.default_rng(seed)
     balls = corpus_balls()
     forms = _stack(balls)
     nb = len(balls)
-    n = max(n, 0)
     n_pairs = orthogonality_pairs if orthogonality_pairs is not None \
         else n // 4
     scalars = np.empty((len(_CHECKS), -(-max(n, n_pairs, 1) // nb) * nb))

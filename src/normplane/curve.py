@@ -144,25 +144,37 @@ class NodeTable:
         """Legendre coefficients of r per panel, shape (..., P, n)."""
         return self.r @ legendre_operators(self.frame.n)[0].T
 
-    def _series(self, coef, t):
+    def _series(self, coef, t, basis=None):
         """Sum over k of coef[..., p, k] P_k(x) at reduced parameters t
         (1-D), shape (..., len(t)) + coef's axes after k.  The row axes go
         behind k, so one panel search and one basis per block serve every
         row; the copy keeps each panel's coefficients contiguous for the
-        gather by panel."""
+        gather by panel.  basis, if given, is the panel index and the
+        Legendre basis of t, read in place of locate and legvander."""
         rows = self.r.ndim - 2
         coef = np.ascontiguousarray(
             np.moveaxis(coef, range(rows), range(2, 2 + rows)))
         out = np.empty(t.shape + coef.shape[2:])
         for s in range(0, len(t), _BLOCK):
-            p, x = self.frame.locate(t[s:s + _BLOCK])
-            V = legendre.legvander(x, coef.shape[1] - 1)
+            if basis is None:
+                p, x = self.frame.locate(t[s:s + _BLOCK])
+                V = legendre.legvander(x, coef.shape[1] - 1)
+            else:
+                p, V = (a[s:s + _BLOCK] for a in basis)
             out[s:s + _BLOCK] = np.einsum("mk,mk...->m...", V, coef[p])
         return np.moveaxis(out, 0, rows)
 
     def points(self, t):
         """gamma at reduced parameters t (1-D), shape (..., len(t), 2)."""
         return self._series(self._gamma_coef, t)
+
+    def drawn(self, count):
+        """gamma at the first count parameters of the ball's drawing grid,
+        shape (..., count, 2): points(grid.reduced[:count]) bit for bit,
+        read through the frame's cached drawing_basis."""
+        t, p, V = self.frame.drawing_basis
+        return self._series(self._gamma_coef, t[:count],
+                            (p[:count], V[:count]))
 
     def radius(self, t):
         """r at reduced parameters t (1-D), shape (..., len(t))."""

@@ -86,7 +86,32 @@ def _floats(value, where):
         raise ValidationError(f"{where} is not an array of numbers") from None
 
 
+# pieces documents' balls a process keeps; the least recently used goes first
+_BALL_CACHE = 16
+_BALLS = {}     # validated piece fields, auto_symmetrize -> UnitBall
+
+
+def _bits(value):
+    """A key of a validated field that tells floats apart bit for bit, so
+    -0.0 is not 0.0: the hex text of each number, text as it is."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_bits, value))
+    return float(value).hex()
+
+
 def ball_from_doc(doc):
+    """The UnitBall of a ball document: a builtin name, {"builtin": name,
+    ...parameters}, or {"pieces": [...], "auto_symmetrize": ...}.
+
+    Every call with an equal document returns the same UnitBall, so curves
+    on one ball share it and its frames: builtin_ball keeps the builtins,
+    and the 16 most recently used pieces documents keep theirs, keyed by
+    their validated piece fields with floats compared bit for bit.  Each
+    piece is checked and built in order, so the first fault is the one
+    reported; a failing document raises on every call.
+    """
     if isinstance(doc, str):
         return builtin_ball(doc)
     if not isinstance(doc, dict):
@@ -94,7 +119,7 @@ def ball_from_doc(doc):
     if "builtin" in doc:
         params = {k: v for k, v in doc.items() if k != "builtin"}
         return builtin_ball(doc["builtin"], **params)
-    pieces = []
+    pieces, fields = [], []
     for i, pd in enumerate(_get(doc, "pieces", "ball", _LIST)):
         kind = _get(pd, "kind", f"ball piece {i}")
         if kind not in ("arc", "segment"):
@@ -105,9 +130,17 @@ def ball_from_doc(doc):
                                                    ("t1", _PARAM))
         args = [_get(pd, key, f"ball piece {i}", test) for key, test in keys]
         pieces.append((Piece.arc if arc else Piece.segment)(*args))
+        fields.append((kind, *map(_bits, args)))
     symmetrize = "auto_symmetrize" in doc and _get(doc, "auto_symmetrize",
                                                    "ball", _BOOL)
-    return build_ball(pieces, auto_symmetrize=symmetrize)
+    key = tuple(fields), symmetrize
+    ball = _BALLS.pop(key, None)
+    if ball is None:
+        ball = build_ball(pieces, auto_symmetrize=symmetrize)
+        if len(_BALLS) >= _BALL_CACHE:
+            del _BALLS[next(iter(_BALLS))]
+    _BALLS[key] = ball      # the most recently used, last
+    return ball
 
 
 def load_ball(doc_or_path):

@@ -16,7 +16,7 @@ from normplane.corpus import (CORPUS_BALL_NAMES, corpus_balls,
                               random_convex_curve,
                               random_symmetric_convex_curve,
                               random_symmetric_zero_dual, run_corpus)
-from normplane.errors import NotClosed, NotConvexInput
+from normplane.errors import NotClosed, NotConvexInput, ValidationError
 
 BALLS = {name: {} for name in CORPUS_BALL_NAMES}
 BALLS["regular_2k_gon(5)"] = {"k": 5}
@@ -434,3 +434,22 @@ def test_worst_is_the_lowest_instance_tied_with_the_extreme():
         assert d["worst"] == 5, check
     assert dist["square"]["identity"]["max"] == 0.7
     assert dist["square"]["gap_sym"]["min"] == 0.2
+
+
+@pytest.mark.parametrize("args, kwargs, named", [
+    ((1, -3), {}, "n"),
+    ((-1, 2), {}, "seed"),
+    ((1, 4), {"orthogonality_pairs": -1}, "orthogonality_pairs"),
+], ids=["negative_n", "negative_seed", "negative_pairs"])
+def test_negative_arguments_are_invalid(args, kwargs, named):
+    with pytest.raises(ValidationError, match=f"^{named} must be "
+                       "non-negative"):
+        run_corpus(*args, **kwargs)
+
+
+def test_no_curves_is_an_empty_report():
+    report = run_corpus(1, 0)
+    assert report["curves_checked"] == 0
+    assert report["orthogonality_pairs"] == 0
+    assert report["violations"] == []
+    assert run_corpus(0, 0, orthogonality_pairs=0)["violations"] == []
