@@ -522,8 +522,9 @@ def _square():
 
 
 def _regular_2k_gon(k):
-    if k < 2:
-        raise ValidationError("regular_2k_gon needs k >= 2")
+    if not 2 <= k <= MAX_GON_K:
+        raise ValidationError(f"builtin parameter 'k' of regular_2k_gon "
+                              f"must be from 2 to {MAX_GON_K}, got {k}")
     ang = [np.pi * j / k for j in range(2 * k)]
     return build_ball(np.array([(np.cos(a), np.sin(a)) for a in ang]))
 
@@ -533,6 +534,8 @@ def _mixed_example():
                        Piece.arc("cos(pi/2*t)", "sin(pi/2*t)", 1, 2)],
                       auto_symmetrize=True)
 
+
+MAX_GON_K = 4096    # the largest k of regular_2k_gon
 
 # name -> (factory, its integer parameters with their defaults)
 _BUILTINS = {
@@ -544,7 +547,8 @@ _BUILTINS = {
 
 
 def builtin_ball(name, **params):
-    """One of the shipped balls: euclidean, square, regular_2k_gon(k),
+    """One of the shipped balls: euclidean, square, regular_2k_gon(k) for
+    2 <= k <= MAX_GON_K = 4096 (another k is a ValidationError), and
     mixed_example21.
 
     Each is built once per process: every call with the same name and

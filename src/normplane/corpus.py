@@ -106,7 +106,7 @@ def _coefficients(forms, rng, count, kinds, n_modes):
         if odd:
             C[..., 1:3] += per_ball(per_ball(C, forms.gaps), forms.closer)
         if scale is not None:
-            vals = per_ball(C, forms.grid)
+            vals = forms.radius_samples(C)
             lo = vals.min(axis=-1)
             C[..., 0] += -lo + (0.3 + (1.0 - 0.3) * u[..., 0]) * (
                 vals.max(axis=-1) - lo + 0.5)
@@ -208,7 +208,7 @@ def random_symmetric_convex_polygon(rng, n_half):
 
 # curves per block of run_corpus, a multiple of the corpus balls: each
 # block is drawn, checked and dropped before the next, so memory does not
-# grow with n past a block's lift grid and samples
+# grow with n past a block's products with the radius samples and knots
 _BLOCK = 2 ** 11
 
 # the checks in report order: the extreme each reports, and how far past

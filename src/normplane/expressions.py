@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -178,9 +179,21 @@ class _Parser:
         self.fail(("number", "pi", "t", "function", "(", "-"))
 
 
+@contextmanager
+def _within_depth():
+    """Text or a tree too deep for Python to parse, walk or compile (a
+    flat sum of a thousand terms, a derivative past CPython's 200 nested
+    parentheses) raises ParseError."""
+    try:
+        yield
+    except (RecursionError, SyntaxError) as exc:
+        raise ParseError(f"expression nests too deeply ({exc})", 0) from None
+
+
 def parse(text):
     """Parse expression text into an AST."""
-    return _Parser(text).parse()
+    with _within_depth():
+        return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +211,10 @@ def _prec(e):
     return 5
 
 
-def to_text(e):
-    """Render the AST as text; reparsing yields a structurally identical AST."""
+def _source(e, numpy):
+    """e as text that parses back to e's tree or, with numpy, as the source
+    compile_fn runs, a^b written power(a,b); parenthesised only where
+    precedence needs it, so a flat sum or product nests none."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Pi):
@@ -207,29 +222,27 @@ def to_text(e):
     if isinstance(e, Var):
         return "t"
     if isinstance(e, Call):
-        return f"{e.fn}({to_text(e.arg)})"
+        return f"{e.fn}({_source(e.arg, numpy)})"
     if isinstance(e, Neg):
-        inner = to_text(e.arg)
-        if _prec(e.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
+        inner = _source(e.arg, numpy)
+        return f"-({inner})" if _prec(e.arg) < _PREC["neg"] else f"-{inner}"
     if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        left = to_text(e.left)
-        right = to_text(e.right)
-        if e.op == "^":
-            # right-associative: parenthesize a non-atomic base
-            if _prec(e.left) <= p:
-                left = f"({left})"
-            if _prec(e.right) < p:
-                right = f"({right})"
-        else:
-            if _prec(e.left) < p:
-                left = f"({left})"
-            if _prec(e.right) <= p:
-                right = f"({right})"
+        left, right = _source(e.left, numpy), _source(e.right, numpy)
+        if numpy and e.op == "^":
+            return f"power({left},{right})"
+        # ^ is right-associative, the other operators left-associative
+        right_assoc = e.op == "^"
+        if _prec(e.left) < _PREC[e.op] + right_assoc:
+            left = f"({left})"
+        if _prec(e.right) < _PREC[e.op] + (not right_assoc):
+            right = f"({right})"
         return f"{left}{e.op}{right}"
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def to_text(e):
+    """Render the AST as text; reparsing yields a structurally identical AST."""
+    return _source(e, False)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +317,7 @@ def _fold(e):
     if is_constant(e) and not isinstance(e, (Num, Pi)):
         try:
             return Num(evaluate(e, 0.0))
-        except DomainError:
+        except ArithmeticError:     # DomainError, or an overflow
             return e
     return e
 
@@ -417,26 +430,9 @@ def differentiate(e):
 # Compilation to vectorized numpy callables
 # ---------------------------------------------------------------------------
 
-def _codegen(e):
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Pi):
-        return "np.pi"
-    if isinstance(e, Var):
-        return "t"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg)})"
-    if isinstance(e, Call):
-        fn = {"abs": "np.abs", "log": "np.log", "sqrt": "np.sqrt",
-              "sin": "np.sin", "cos": "np.cos", "tan": "np.tan",
-              "exp": "np.exp"}[e.fn]
-        return f"{fn}({_codegen(e.arg)})"
-    if isinstance(e, BinOp):
-        a, b = _codegen(e.left), _codegen(e.right)
-        if e.op == "^":
-            return f"np.power({a},{b})"
-        return f"({a}{e.op}{b})"
-    raise TypeError(f"not an Expr: {e!r}")
+# the names compiled source reads besides t; inf is a constant past range
+_NUMPY = {"__builtins__": {}, "pi": np.pi, "inf": np.inf, "nan": np.nan,
+          "power": np.power, **{fn: getattr(np, fn) for fn in FUNCTIONS}}
 
 
 def compile_fn(e):
@@ -445,9 +441,7 @@ def compile_fn(e):
     No domain checking is performed; use :func:`evaluate` for checked
     scalar evaluation.
     """
-    if isinstance(e, str):
-        e = parse(e)
-    raw = eval("lambda t: " + _codegen(e), {"np": np, "__builtins__": {}})
+    raw = eval("lambda t: " + _source(as_expr(e), True), _NUMPY)
 
     def fn(t):
         t = np.asarray(t, dtype=float)
@@ -479,28 +473,30 @@ def compiled(source, order):
     all its orders.  The callables are pure, so callers share them.  An
     error is raised again on every call; none is kept.
     """
-    e = _parsed(source) if isinstance(source, str) else as_expr(source)
-    for _ in range(order):
-        e = differentiate(e)
-    return compile_fn(e)
+    e = as_expr(source)
+    with _within_depth():
+        for _ in range(order):
+            e = differentiate(e)
+        return compile_fn(e)
 
 
 def constant_value(source):
     """The value of expression text or an Expr without t, as its compiled
     function gives it at every parameter; None if it has t."""
-    e = _parsed(source) if isinstance(source, str) else as_expr(source)
-    if not is_constant(e):
+    fn = compiled(source, 0)    # first, so a tree too deep is a ParseError
+    if not is_constant(as_expr(source)):
         return None
     with np.errstate(all="ignore"):     # a non-finite value is the caller's
-        return float(compiled(source, 0)(0.0))
+        return float(fn(0.0))
 
 
 def as_expr(obj):
-    """Coerce text, a number, or an Expr to an Expr."""
+    """Coerce text (parsed once while among the MEMO_SIZE most recently
+    used), a number, or an Expr to an Expr."""
     if isinstance(obj, Expr):
         return obj
     if isinstance(obj, str):
-        return parse(obj)
+        return _parsed(obj)
     if isinstance(obj, (int, float)):
         return Num(float(obj))
     raise TypeError(f"cannot interpret {obj!r} as an expression")

@@ -77,10 +77,14 @@ class Forms:
         gap = norm2(per_ball(C, self.gaps))
         return gap <= closure_tol(gap, self, lambda: self.diameters(C))
 
+    def radius_samples(self, C):
+        """Each row's radius at every node and panel end of the frame, the
+        NodeTable.radius_samples that is_convex reads."""
+        return per_ball(C, self.gram.samples.swapaxes(-1, -2))
+
     def convexity(self, C):
-        """is_convex's sign of each row, read at the same nodes and panel
-        ends."""
-        return convexity_sign(per_ball(C, self.gram.samples.swapaxes(-1, -2)))
+        """is_convex's sign of each row, read at its radius_samples."""
+        return convexity_sign(self.radius_samples(C))
 
     def ledger(self, C):
         """The fields of iso_ledger, and the Minkowski gap and its scale,
@@ -110,10 +114,10 @@ class Forms:
 
 class Modes(Forms):
     """The modes 1, cos(k pi (t - t0) / T), sin(...), k = 1..kmax, on one
-    Frame of a ball chosen for all of them: their values at the nodes and
-    on the lift grid, closure gaps and dual lengths, and the ball's
-    diameter.  Holds no reference to the ball, which keys the cache
-    weakly.
+    Frame of a ball chosen for all of them: their values at the nodes,
+    closure gaps and dual lengths, and the ball's diameter; convex curves
+    are lifted on the Gram forms' radius samples.  Holds no reference to
+    the ball, which keys the cache weakly.
     """
 
     def __init__(self, ball, kmax):
@@ -127,9 +131,6 @@ class Modes(Forms):
         self.gaps, self.duals = table.gap, table.dual_length
         # g @ closer are the k = 1 coefficients that cancel a closure gap g
         self.closer = -np.linalg.inv(self.gaps[1:3])
-        # the modes on the lift grid, 200 points a piece, a column a point
-        self.grid = self.values(np.concatenate(
-            [np.linspace(p.t0, p.t1, 200) for p in ball.pieces])).T
         # under t -> t + T mode k picks up (-1)^k
         self.odd = (np.arange(2 * kmax + 1) + 1) // 2 % 2 == 1
 
@@ -172,11 +173,9 @@ class ModeStack(Forms):
 
     def __init__(self, balls, kmax):
         self.members = [modes_of(ball, kmax) for ball in balls]
-        for name in ("gaps", "closer", "duals", "area"):
+        for name in ("gaps", "closer", "duals", "area", "diameter"):
             setattr(self, name, np.stack([getattr(m, name)
                                           for m in self.members]))
-        self.diameter = np.array([ball.diameter for ball in balls])
-        self.grid = _padded([m.grid for m in self.members], -1)
         self.odd = self.members[0].odd
 
     @cached_property

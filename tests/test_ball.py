@@ -4,6 +4,7 @@ import pytest
 from normplane import (Piece, build_ball, builtin_ball,
                        circumscribed_parallel_polygon, cross2, jsonio,
                        mixed_area, signed_area, symmetrize_polygon)
+from normplane import ball as ball_module
 from normplane import expressions as ex
 from normplane.corpus import random_convex_polygon
 from normplane.errors import (DegeneratePiece, DomainError, NotClosed,
@@ -49,6 +50,23 @@ class TestBuiltins:
     def test_bad_parameter(self, name, params, named):
         with pytest.raises(ValidationError, match=named):
             builtin_ball(name, **params)
+
+    @pytest.mark.parametrize("k", [1, ball_module.MAX_GON_K + 1, 1e12,
+                                   10 ** 30])
+    def test_k_out_of_range_is_rejected_before_building(self, k,
+                                                         monkeypatch):
+        def built(*args):
+            raise AssertionError("regular_2k_gon was built")
+        # so a missing bound fails at once, not after 2 k angles
+        monkeypatch.setattr(ball_module, "build_ball", built)
+        monkeypatch.setattr(ball_module, "range", built, raising=False)
+        with pytest.raises(ValidationError,
+                           match=f"'k' .* from 2 to {ball_module.MAX_GON_K}"):
+            builtin_ball("regular_2k_gon", k=k)
+
+    def test_largest_k(self):
+        k = ball_module.MAX_GON_K
+        assert len(builtin_ball("regular_2k_gon", k=k).pieces) == 2 * k
 
     def test_one_ball_per_name_and_parameters(self):
         assert builtin_ball("euclidean") is builtin_ball("euclidean")

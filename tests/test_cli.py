@@ -69,6 +69,7 @@ class TestValidate:
         {"builtin": "regular_2k_gon", "k": "x"},
         {"builtin": "regular_2k_gon", "k": [3]},
         {"builtin": "regular_2k_gon", "k": 2.7},
+        {"builtin": "regular_2k_gon", "k": 1e12},
         {"builtin": "euclidean", "k": 3},
     ])
     def test_bad_builtin_parameter_is_invalid_input(self, tmp_path, ball):
@@ -96,6 +97,19 @@ class TestValidate:
         assert res.returncode == 1
         assert json.loads(res.stderr.splitlines()[-1]) == {
             "error": "ValidationError", "detail": detail}
+
+    def test_overflowing_arc_is_a_domain_error(self, tmp_path):
+        # 10^400 overflows while the derivative folds its constants
+        p = write_doc(tmp_path / "ball.json", {
+            "auto_symmetrize": True, "pieces": [
+                {"kind": "arc", "x": "10^400*cos(pi/2*t)/10^400",
+                 "y": "sin(pi/2*t)", "t0": 0, "t1": 1},
+                {"kind": "arc", "x": "cos(pi/2*t)", "y": "sin(pi/2*t)",
+                 "t0": 1, "t1": 2}]})
+        res = run_cli("validate", "--ball", p)
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1])["error"] == \
+            "DomainError"
 
     @pytest.mark.parametrize("pieces, detail", [
         ([{"kind": "segment", "p0": [1, -1], "p1": [1, 1], "t0": 0, "t1": 1},
@@ -257,6 +271,31 @@ class TestAnalyze:
         assert "ledger" not in report
         assert report["measures"]["dual_length"] == pytest.approx(
             2 * np.pi, rel=1e-10)
+
+    def test_long_sum_radius(self, tmp_path):
+        # 250 terms: more than CPython's 200 nested parentheses, had every
+        # operator been wrapped in them
+        doc = {"ball": "euclidean", "basepoint": [1, 0],
+               "radius": ["1" + "+0*t" * 250] * 4}
+        res = run_cli("analyze", "--curve",
+                      write_doc(tmp_path / "curve.json", doc))
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["measures"]["dual_length"] == \
+            pytest.approx(2 * np.pi, rel=1e-10)
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"ball": "euclidean", "basepoint": [1, 0],
+          "radius": ["(" * 300 + "1" + ")" * 300] * 4}, "ParseError"),
+        ({"ball": "euclidean", "explicit": [
+            {"x": "10^400*cos(pi/2*t)/10^400", "y": "sin(pi/2*t)"},
+            *[{"x": "cos(pi/2*t)", "y": "sin(pi/2*t)"}] * 3]},
+         "DomainError"),
+    ], ids=["nested_300_deep", "overflowing_explicit"])
+    def test_bad_expression_is_invalid_input(self, tmp_path, doc, error):
+        res = run_cli("analyze", "--curve",
+                      write_doc(tmp_path / "curve.json", doc))
+        assert res.returncode == 1
+        assert json.loads(res.stderr.splitlines()[-1])["error"] == error
 
     # inf and nan: a rule that is not positive and finite
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])

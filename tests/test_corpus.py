@@ -17,13 +17,15 @@ from normplane.corpus import (CORPUS_BALL_NAMES, corpus_balls,
                               random_symmetric_convex_curve,
                               random_symmetric_zero_dual, run_corpus)
 from normplane.errors import NotClosed, NotConvexInput, ValidationError
+from normplane.modes import modes_of
 
 BALLS = {name: {} for name in CORPUS_BALL_NAMES}
 BALLS["regular_2k_gon(5)"] = {"k": 5}
 
 
 # -- the reference: each radius is a callable trig series, closing terms
-# -- from adaptively integrated gaps, the lift from a grid of the series ---
+# -- from adaptively integrated gaps, the lift from the series at the
+# -- parameters of the mode frame's radius samples ---------------------------
 
 def _trig(ball, terms):
     """sum of a cos(k pi (t - t0) / T) + b sin(...) over terms (k, a, b)."""
@@ -53,9 +55,10 @@ def _closed(ball, terms):
 
 
 def _lifted(ball, rng, terms):
-    grid = np.concatenate([np.linspace(p.t0, p.t1, 200)
-                           for p in ball.pieces])
-    vals = _trig(ball, terms)(grid)
+    # each panel's left end, its nodes and its right end
+    f = modes_of(ball, 4).frame
+    vals = _trig(ball, terms)(np.column_stack([f.lo, f.t,
+                                               f.lo + 2.0 * f.half]))
     lift = -np.min(vals) + rng.uniform(0.3, 1.0) * (np.ptp(vals) + 0.5)
     return curve_from_radius(ball, _trig(ball, [*terms, (0, lift, 0.0)]),
                              basepoint=rng.uniform(-1.0, 1.0, size=2))
@@ -126,10 +129,10 @@ def test_generator_matches_the_series_reference(ball_name, kind):
 # signed areas of the first random_convex_curve from default_rng(2024) on
 # each corpus ball, as the explicit-series generator gave them
 PINNED_AREAS = {
-    "euclidean": 30.485060830376888,
-    "square": 37.75336196567945,
-    "regular_2k_gon": 25.320242932973336,
-    "mixed_example21": 28.119673173376537,
+    "euclidean": 30.482244480852668,
+    "square": 37.74038826780091,
+    "regular_2k_gon": 25.31950081832175,
+    "mixed_example21": 28.106756436046926,
 }
 
 
@@ -404,7 +407,9 @@ def test_memory_stays_flat_over_blocks():
     block = corpus._BLOCK
     run_corpus(0, 12)     # the corpus balls' forms are built once
     peaks = []
-    for n in (block, 8 * block):
+    # n // 4 pairs: from 4 blocks of curves on, both runs fill a pair block,
+    # whose products are a fixed cost per block
+    for n in (4 * block, 8 * block):
         tracemalloc.start()
         try:
             run_corpus(1, n)

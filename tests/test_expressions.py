@@ -238,3 +238,130 @@ class TestCompiledMemo:
             ex.compiled(f"{k}+t", 0)
         assert ex.compiled.cache_info().currsize == ex.MEMO_SIZE
         assert ex._parsed.cache_info().currsize == ex.MEMO_SIZE
+
+
+# -- compiled source: parentheses only where precedence needs them ---------
+
+def _old_codegen(e):
+    """The codegen that wrapped every operator in parentheses, kept as the
+    reference that the compiled functions match bit for bit."""
+    if isinstance(e, ex.Num):
+        return repr(e.value)
+    if isinstance(e, ex.Pi):
+        return "np.pi"
+    if isinstance(e, ex.Var):
+        return "t"
+    if isinstance(e, ex.Neg):
+        return f"(-{_old_codegen(e.arg)})"
+    if isinstance(e, ex.Call):
+        return f"np.{e.fn}({_old_codegen(e.arg)})"
+    a, b = _old_codegen(e.left), _old_codegen(e.right)
+    if e.op == "^":
+        return f"np.power({a},{b})"
+    return f"({a}{e.op}{b})"
+
+
+_TS = np.linspace(-2.0, 2.0, 9)
+
+
+def _values(fn):
+    """fn at _TS as a float array, or the type of the error it raises (a
+    Python float divided by zero)."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.broadcast_to(np.asarray(fn(_TS), dtype=float),
+                                   _TS.shape)
+        except ZeroDivisionError as exc:
+            return type(exc)
+
+
+def _old(e):
+    return _values(eval("lambda t: " + _old_codegen(e),
+                        {"np": np, "__builtins__": {}}))
+
+
+def _assert_same(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@given(_ast)
+@settings(max_examples=300, deadline=None)
+def test_compiled_matches_the_old_codegen(e):
+    _assert_same(_values(ex.compile_fn(e)), _old(e))
+
+
+@given(st.lists(st.tuples(st.sampled_from("+-"), _ast), min_size=1,
+                max_size=5),
+       st.sampled_from([250, 500]))
+@settings(max_examples=30, deadline=None)
+def test_long_sums_match_the_old_codegen_term_by_term(terms, n):
+    # the old codegen nested a parenthesis per term, past CPython's 200, so
+    # the reference sums its terms' values left to right as the flat sum
+    # does
+    chain = [terms[i % len(terms)] for i in range(n)]
+    e, want = ex.Var(), _TS
+    for op, term in chain:
+        e = ex.BinOp(op, e, term)
+        value = _old(term)
+        if isinstance(want, type) or isinstance(value, type):
+            want = want if isinstance(want, type) else value
+        else:
+            want = want + value if op == "+" else want - value
+    _assert_same(_values(ex.compile_fn(e)), want)
+
+
+@pytest.mark.parametrize("n", [250, 500])
+def test_long_sum_text_compiles(n):
+    np.testing.assert_array_equal(ex.compiled("1" + "+0*t" * n, 0)(_TS),
+                                  np.ones_like(_TS))
+    f = ex.compiled("t" + "+cos(pi*t)/8" * n, 1)
+    assert np.isfinite(f(_TS)).all()
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 100 + "t" + ")" * 100,
+    "sin(" * 100 + "t" + ")" * 100,
+    "-" * 100 + "t",
+    "t^" * 100 + "t",
+], ids=["parentheses", "calls", "minus", "powers"])
+def test_100_levels_of_nesting_compile(text):
+    assert np.isfinite(ex.compiled(text, 1)(0.5))
+
+
+@pytest.mark.parametrize("text, order", [
+    ("(" * 300 + "t" + ")" * 300, 0),
+    ("sin(" * 300 + "t" + ")" * 300, 0),
+    ("-" * 1000 + "t", 0),
+    ("t^" * 300 + "t", 0),
+    ("1" + "+0*t" * 5000, 0),        # too deep for Python to walk
+    ("1" + "*cos(t/100)" * 250, 1),  # a derivative past 200 parentheses
+], ids=["parentheses", "calls", "minus", "powers", "sum", "derivative"])
+def test_too_deep_is_a_parse_error(text, order):
+    with pytest.raises(ParseError, match="nests too deeply"):
+        ex.compiled(text, order)
+    if order == 0:
+        with pytest.raises(ParseError, match="nests too deeply"):
+            ex.constant_value(text)
+
+
+# -- constants past the float range ----------------------------------------
+
+def test_overflowing_constant_is_left_unfolded():
+    text = "10^400*cos(pi/2*t)/10^400"
+    with np.errstate(all="ignore"):
+        for order in range(3):
+            assert np.isnan(ex.compiled(text, order)(_TS)).all()
+
+
+@pytest.mark.parametrize("text, value, slope", [
+    ("1e400*t", np.inf, np.inf),        # an infinite literal
+    ("t*1e308*10", np.inf, np.inf),     # a derivative folded to inf
+    ("-1e400+0*t", -np.inf, 0.0),
+])
+def test_infinite_constants_compile(text, value, slope):
+    with np.errstate(all="ignore"):
+        assert ex.compiled(text, 0)(1.0) == value
+        assert ex.compiled(text, 1)(1.0) == slope
