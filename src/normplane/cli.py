@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 invalid input, 2 property violation found, 3 internal
 error.  Diagnostics go to stderr as JSON lines; reports go to stdout or to
-files under --out.
+files under --out.  The "wrote FILE" notice of --svg goes to stdout with
+--out and to stderr without it, so stdout is then the report alone.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ def _emit(report, out_dir, name):
             fh.write(text + "\n")
     else:
         click.echo(text)
+
+
+def _wrote(path, out_dir):
+    """Name a written file: on stdout beside reports under --out, on stderr
+    when the report itself went to stdout, so that stdout stays one JSON
+    document."""
+    click.echo(f"wrote {path}", err=not out_dir)
 
 
 def _handle(fn):
@@ -135,7 +143,7 @@ def decompose(curve_path, out_dir, want_svg):
             path = _out_path(out_dir, "decomposition.svg") or \
                 "decomposition.svg"
             svg.write(path, layers, title="decomposition")
-            click.echo(f"wrote {path}")
+            _wrote(path, out_dir)
 
     _handle(run)
 
@@ -162,7 +170,7 @@ def lhuilier(polygon_path, out_dir, want_svg):
             ]
             path = _out_path(out_dir, "lhuilier.svg") or "lhuilier.svg"
             svg.write(path, layers, title="Lhuilier construction")
-            click.echo(f"wrote {path}")
+            _wrote(path, out_dir)
 
     _handle(run)
 

@@ -273,14 +273,15 @@ def _p99(values, counts=None):
     return (lo + (hi - lo) * (pos - k)).reshape(np.shape(values)[1:])
 
 
-def _distributions(scalars, counts, oracle):
+def _distributions(worse, counts, oracle):
     """Per ball and check: the max or min of the check's per-instance
-    values in scalars, and the lowest instance within _TIE of it; the p99
-    of the identity; the oracle's largest difference.  scalars holds a row
-    per check, instance i in column i, pads beyond; counts[c] instances
-    of check c are real.  A ball lists the checks it has instances of."""
+    values, and the lowest instance within _TIE of it; the p99 of the
+    identity; the oracle's largest difference.  worse holds a row per
+    check of its values times _WORSE, so larger is worse, instance i in
+    column i, pads beyond; counts[c] instances of check c are real.  A
+    ball lists the checks it has instances of."""
     nb = len(CORPUS_BALL_NAMES)
-    worse = (scalars * _WORSE[:, None]).reshape(len(_CHECKS), -1, nb)
+    worse = worse.reshape(len(_CHECKS), -1, nb)
     top = worse.max(axis=1)
     tied = worse >= top[:, None] - _TIE
     worst = (nb * np.argmax(tied, axis=1) + np.arange(nb)).tolist()
@@ -337,9 +338,10 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     nb = len(balls)
     n_pairs = orthogonality_pairs if orthogonality_pairs is not None \
         else n // 4
-    scalars = np.empty((len(_CHECKS), -(-max(n, n_pairs, 1) // nb) * nb))
-    # pads, the least finite value once oriented, are never the worst
-    scalars[:] = -np.finfo(float).max * _WORSE[:, None]
+    # each check's values oriented by _WORSE as they are written, so that
+    # larger is worse; pads, the least finite value, are never the worst
+    worse = np.full((len(_CHECKS), -(-max(n, n_pairs, 1) // nb) * nb),
+                    -np.finfo(float).max)
     flags = np.empty((2, n), dtype=bool)       # closed, convex
     violations, picked, oracle = [], seed % n if n else -1, None
 
@@ -349,10 +351,11 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
                            "check": check, **values})
 
     def check(rows, start, values):
-        """Write a block's scalars, values[c, j] of check rows[c] and
-        instance start + j; [(instance, c)] past their limits, in order."""
-        scalars[rows, start:start + values.shape[-1]] = values
-        over = values * _WORSE[rows, None] > _LIMITS[rows, None]
+        """Write a block's values[c, j] of check rows[c] and instance
+        start + j, oriented; [(instance, c)] past their limits, in order."""
+        oriented = values * _WORSE[rows, None]
+        worse[rows, start:start + values.shape[-1]] = oriented
+        over = oriented > _LIMITS[rows, None]
         return [(start + j, c) for j, c in np.argwhere(over.T).tolist()]
 
     for start in range(0, n, _BLOCK):
@@ -421,6 +424,6 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
         "curves_checked": n,
         "orthogonality_pairs": n_pairs,
         "violations": violations,
-        "distributions": _distributions(scalars, [n] * 5 + [n_pairs],
+        "distributions": _distributions(worse, [n] * 5 + [n_pairs],
                                         oracle),
     }

@@ -1,6 +1,7 @@
 """End-to-end exercises of the installed ``normplane`` console script."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,6 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import normplane
 from normplane import decompose, jsonio
 
 from conftest import EXAMPLE22_EXPLICIT, EXAMPLE22_RADII
@@ -19,9 +21,16 @@ EXAMPLE22_DOC = {
 }
 
 
+# the directory normplane is imported from, so a run in another cwd finds
+# the same package
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(normplane.__file__)))
+
+
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "normplane.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def write_doc(path, doc):
@@ -335,6 +344,16 @@ class TestDecompose:
             assert label in body
 
 
+    def test_svg_without_out_keeps_stdout_one_report(self, tmp_path):
+        p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
+        res = run_cli("decompose", "--curve", p, "--svg", cwd=tmp_path)
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["wc_area"] == pytest.approx(
+            -1.33, abs=0.02)
+        assert res.stderr == "wrote decomposition.svg\n"
+        assert (tmp_path / "decomposition.svg").read_text().endswith(
+            "</svg>\n")
+
     @pytest.mark.parametrize("want_svg", [True, False])
     def test_samples_are_the_first_128_parameters(self, tmp_path, want_svg):
         p = write_doc(tmp_path / "curve.json", EXAMPLE22_DOC)
@@ -365,6 +384,15 @@ class TestLhuilier:
         assert report["gap"] >= -1e-9
         assert len(report["K1_0"]) == 6
         assert (out / "lhuilier.svg").exists()
+
+    def test_svg_without_out_keeps_stdout_one_report(self, tmp_path):
+        p = write_doc(tmp_path / "tri.json",
+                      {"vertices": [[0, 0], [2, 0], [0, 1]]})
+        res = run_cli("lhuilier", p, "--svg", cwd=tmp_path)
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["gap"] > 0
+        assert res.stderr == "wrote lhuilier.svg\n"
+        assert (tmp_path / "lhuilier.svg").read_text().endswith("</svg>\n")
 
     def test_bad_polygon_rejected(self, tmp_path):
         p = write_doc(tmp_path / "bad.json",

@@ -429,7 +429,8 @@ def test_worst_is_the_lowest_instance_tied_with_the_extreme():
     scalars[5, [0, 4, 8]] = [1e-18, 4e-17, 2e-17]
     scalars[0, [1, 5, 9]] = scalars[5, [1, 5, 9]] = [0.1, 0.7, 0.7 - 5e-14]
     scalars[1:5, [1, 5, 9]] = [0.3, 0.2, 0.2 + 2e-13]
-    dist = corpus._distributions(scalars, [12] * 6, None)
+    dist = corpus._distributions(scalars * corpus._WORSE[:, None], [12] * 6,
+                                 None)
     for check, d in dist["euclidean"].items():
         kind = "max" if check in ("identity", "orthogonality") else "min"
         assert d["worst"] == 0, check
@@ -439,6 +440,21 @@ def test_worst_is_the_lowest_instance_tied_with_the_extreme():
         assert d["worst"] == 5, check
     assert dist["square"]["identity"]["max"] == 0.7
     assert dist["square"]["gap_sym"]["min"] == 0.2
+
+
+def test_distributions_do_not_copy_the_values():
+    # the final reduction reads the oriented values where the blocks wrote
+    # them: its peak stays below the size of those values
+    n = 4 * 10 ** 4
+    worse = np.random.default_rng(5).normal(size=(6, n)) * 1e-12
+    tracemalloc.start()
+    try:
+        dist = corpus._distributions(worse, [n] * 5 + [n // 4], None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(dist) == set(corpus.CORPUS_BALL_NAMES)
+    assert peak < worse.nbytes
 
 
 @pytest.mark.parametrize("args, kwargs, named", [

@@ -3,10 +3,13 @@ reference implementations."""
 
 import json
 import math
+from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normplane import jsonio, svg
 
@@ -135,6 +138,110 @@ class TestRender:
         text = path.read_text(encoding="utf-8")
         assert text == reference_render(layers, title="decomposition")
         assert text.endswith("</svg>\n")
+
+
+def written(values):
+    """The coordinate writer on values as (n, 2) pixels (the last repeated
+    if their count is odd): each value with whether the pass wrote it and
+    its slot's text, NUL padding dropped."""
+    px = np.array(values + values[-1:] * (len(values) % 2),
+                  dtype=float).reshape(-1, 2)
+    text, good = svg._digits(px)
+    return [(v, ok, text[12 * j:12 * j + 12].translate(None, b"\0").decode(
+        "ascii")) for j, (v, ok) in enumerate(zip(px.ravel().tolist(),
+                                                 good.ravel().tolist()))]
+
+
+def clear_of_ties(v):
+    """Whether '%.9g' of v, a float in [10, 1000), rounds a value at least
+    2⁻¹⁹ away from a tie to fewer than 10 digits: then the pass must write
+    it."""
+    exact = Fraction(v) * 10 ** (6 if v >= 100 else 7)
+    n = round(exact)
+    return abs(exact - n) <= Fraction(1, 2) - Fraction(1, 2 ** 19) and \
+        n < 10 ** 9
+
+
+def check_writer(values):
+    for j, (v, ok, got) in enumerate(written(values)):
+        if ok:
+            assert got == "%.9g" % v + ", "[j % 2], v
+        else:
+            # left to '%.9g' only when it must be
+            assert not (10 <= v < 1000 and clear_of_ties(v)), v
+
+
+# ties of '%.9g': x·10⁶ is a half-integer at n + k/128 (x >= 100), x·10⁷
+# at n + k/256 (x < 100), k odd; other powers of two give values near them
+_TIES = st.builds(lambda n, k, m: n + (2 * k + 1) % 2 ** m / 2 ** m,
+                  st.integers(9, 1000), st.integers(0, 2 ** 30),
+                  st.sampled_from([7, 8, 7, 8, 1, 6, 9, 20, 30]))
+
+
+# decimal ties: the float nearest N + 1/2 over 10⁶ or 10⁷, whose product
+# with 10ᵏ can round onto the tie from either side
+_DECIMAL_TIES = st.builds(lambda n, k: (2 * n + 1) / (2 * 10 ** k),
+                          st.integers(10 ** 8, 10 ** 9 - 1),
+                          st.sampled_from([6, 7]))
+
+
+def _neighbours(x):
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+class TestCoordinateWriter:
+    @given(st.lists(st.floats(9.0, 1001.0), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_floats_in_and_around_the_viewport(self, values):
+        check_writer(values)
+
+    @given(st.lists(st.one_of(_TIES, _DECIMAL_TIES), min_size=1,
+                    max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_ties_and_their_neighbours(self, ties):
+        check_writer([v for x in ties for v in _neighbours(x)])
+
+    @given(st.lists(st.sampled_from([
+        9.99999999, 99.99999995, 999.9999995, 10.0, 100.0, 1000.0, 40.0,
+        600.0, 320.0, 99.9999999, 100.000001, 999.999999]),
+        min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_carries_and_boundaries(self, values):
+        check_writer([v for x in values for v in _neighbours(x)])
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0]),
+        st.floats(max_value=-0.0), st.floats(1000.0, exclude_min=False),
+        st.floats(0.0, 10.0, exclude_max=True)), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_values_outside_the_viewport_are_left_to_the_format(self,
+                                                                 values):
+        assert not any(ok for _, ok, _ in written(values))
+
+    def test_a_layer_with_a_tie_is_formatted_per_coordinate(self):
+        ties = [100.0078125, 100.0234375, 10.00390625, 10.01171875]
+        assert not any(ok for _, ok, _ in written(ties))
+        # the viewport [0, 560]² maps (x, y) to (x + 40, 600 - y) exactly
+        box = svg.Layer("box", [[0, 0], [560, 0], [560, 560], [0, 560]],
+                        "black")
+        tie = svg.Layer("tie", [[60.0078125, 300.5],
+                                [10.01171875, 499.9921875]], "red",
+                        closed=False)
+        got = svg.render([box, tie])
+        assert got == reference_render([box, tie])
+        assert 'points="100.007812,299.5 50.0117188,100.007812"' in got
+
+    @given(st.lists(st.lists(st.tuples(st.floats(-1e3, 1e3),
+                                       st.floats(-1e3, 1e3)),
+                             min_size=3, max_size=48),
+                    min_size=1, max_size=3),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_small_layers_as_lhuilier_draws_them(self, polygons, closed):
+        layers = [svg.Layer(f"K{i}", pts, "black", closed=closed)
+                  for i, pts in enumerate(polygons)]
+        assert svg.render(layers, title="Lhuilier construction") == \
+            reference_render(layers, title="Lhuilier construction")
 
 
 def special_object():
