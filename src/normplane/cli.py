@@ -90,14 +90,14 @@ def validate(ball_path, curve_path):
 @click.option("--curve", "curve_path", type=click.Path(exists=True),
               required=True)
 @click.option("--out", "out_dir", type=click.Path())
-@click.option("--rel-tol", type=float, default=None)
+@click.option("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
+              show_default=True, help="Quadrature rel_tol, down to roundoff.")
 def analyze(curve_path, out_dir, rel_tol):
     """Measures plus the isoperimetric ledger for a curve."""
 
     def run():
         try:
-            quad = (DEFAULT_CONFIG if rel_tol is None
-                    else QuadratureConfig(rel_tol=rel_tol))
+            quad = QuadratureConfig(rel_tol=rel_tol)
         except ValueError as exc:
             raise ValidationError(f"--rel-tol: {exc}") from None
         curve = jsonio.load_curve(curve_path, quad=quad)
@@ -185,10 +185,6 @@ def corpus(seed, count, out_dir, inject_bug):
     """Aggregate property checks over random curves; exit 2 on violation."""
 
     def run():
-        if seed < 0:
-            raise ValidationError(f"--seed must be non-negative, got {seed}")
-        if count < 0:
-            raise ValidationError(f"--n must be non-negative, got {count}")
         from .corpus import run_corpus
         report = run_corpus(seed, count, inject_bug=inject_bug)
         _emit(report, out_dir, "corpus.json")

@@ -318,8 +318,8 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     iso_ledger; a Gram term off by more than 1e-12 of its scale is an
     "oracle" violation.
 
-    seed, n and orthogonality_pairs must be non-negative, or a
-    ValidationError is raised; n = 0 checks nothing.
+    seed, n and orthogonality_pairs must be non-negative integers (not
+    bools), or a ValidationError naming it is raised; n = 0 checks nothing.
 
     Returns a report dict; report["violations"] is empty on success and
     report["distributions"] holds, per ball and check, the extreme
@@ -328,16 +328,19 @@ def run_corpus(seed, n, inject_bug=None, orthogonality_pairs=None):
     inject_bug="cwms-sign" flips the sign of the CWMS area before the
     checks, as a self-test that the harness can detect a broken invariant.
     """
+    pairs = 0 if orthogonality_pairs is None else orthogonality_pairs
     for name, value in (("seed", seed), ("n", n),
-                        ("orthogonality_pairs", orthogonality_pairs)):
-        if value is not None and value < 0:
-            raise ValidationError(f"{name} must be non-negative, got {value}")
+                        ("orthogonality_pairs", pairs)):
+        if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer)) or value < 0:
+            raise ValidationError(
+                f"{name} must be a non-negative integer, got {value!r}")
+    seed, n = int(seed), int(n)     # numpy integers wrap in the arithmetic
     rng = np.random.default_rng(seed)
     balls = corpus_balls()
     forms = _stack(balls)
     nb = len(balls)
-    n_pairs = orthogonality_pairs if orthogonality_pairs is not None \
-        else n // 4
+    n_pairs = n // 4 if orthogonality_pairs is None else int(pairs)
     # each check's values oriented by _WORSE as they are written, so that
     # larger is worse; pads, the least finite value, are never the worst
     worse = np.full((len(_CHECKS), -(-max(n, n_pairs, 1) // nb) * nb),

@@ -36,23 +36,20 @@ def _is(value, kind):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """integrate's rule; its chop test's floor is the test's roundoff."""
     nodes_per_panel: int = 32
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14  # floor for integrands that are essentially zero
     max_depth: int = 12
 
     def __post_init__(self):
         # NaN fails every comparison; the tail must leave a panel's series
         # a head to accept
-        n, rel, floor, depth = (self.nodes_per_panel, self.rel_tol,
-                                self.abs_tol, self.max_depth)
+        n, rel, depth = self.nodes_per_panel, self.rel_tol, self.max_depth
         for name, ok, what in (
                 ("nodes_per_panel", _is(n, numbers.Integral) and n > _TAIL,
                  f"an integer > {_TAIL}"),
                 ("rel_tol", _is(rel, numbers.Real) and 0 < rel < math.inf,
                  "positive and finite"),
-                ("abs_tol", _is(floor, numbers.Real)
-                 and 0 <= floor < math.inf, "non-negative and finite"),
                 ("max_depth", _is(depth, numbers.Integral) and depth >= 0,
                  "a non-negative integer")):
             if not ok:
@@ -92,17 +89,25 @@ def panel(f, a, b, n):
     return (half.reshape(-1, 1) * sums).reshape(a.shape + tail), vals
 
 
-def _chop(vals, quad):
+@lru_cache(maxsize=32)
+def _roundoff(n):
+    """tau_n: 4 times the largest tail the chop test gives the constant 1."""
+    return 4 * np.abs(legendre_operators(2 * n)[0][n - _TAIL:].sum(1)).max()
+
+
+def _chop(vals, quad, floor=None):
     """The chop test of panels with values vals (P, 2n, C) at 2n Gauss
     nodes, n = nodes_per_panel: the largest Legendre coefficient of each
     panel's interpolant from degree n - _TAIL up, over all components; the
-    largest value, its scale; and whether the first is at most
-    max(rel_tol * scale, abs_tol)."""
+    largest value, its scale; the floor, by default _roundoff(n) times the
+    largest scale; and whether the first is at most max(rel_tol * scale,
+    floor), so a tail at the test's own roundoff passes at any rel_tol."""
     n = quad.nodes_per_panel
     tail = legendre_operators(2 * n)[0][n - _TAIL:]
     err = np.abs(tail @ vals).reshape(len(vals), -1).max(axis=1)
     scale = np.abs(vals).reshape(len(vals), -1).max(axis=1)
-    return err, scale, err <= np.maximum(quad.rel_tol * scale, quad.abs_tol)
+    floor = _roundoff(n) * scale.max() if floor is None else floor
+    return err, scale, floor, err <= np.maximum(quad.rel_tol * scale, floor)
 
 
 def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
@@ -115,8 +120,9 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
     so f sees the nodes of the open panels interval by interval, each
     interval's panels in increasing order.  A panel is accepted when its
     interpolant's Legendre coefficients from degree nodes_per_panel - 2 up
-    are at most max(rel_tol * scale, abs_tol) in every component, scale
-    being f's largest magnitude there (see _chop): a series of degree
+    are at most max(rel_tol * scale, floor) in every component, scale
+    being f's largest magnitude there and floor the test's roundoff times
+    f's largest on level 0's panels (see _chop): a series of degree
     below nodes_per_panel - 2 then holds f at twice the nodes a leaf reads
     it on, so a feature between those nodes is sampled too.  An accepted
     panel's sum is its value, and any other is halved.  A panel still open
@@ -138,10 +144,10 @@ def integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
         total = np.zeros(lo.shape + probe.shape[1:])
         return total[0] if scalar else total
     a, b = lo[owner], hi[owner]
-    levels = []   # per level: owner, a, b, accepted, value
+    levels, floor = [], None   # per level: owner, a, b, accepted, value
     for depth in range(quad.max_depth + 1):
         value, vals = panel(f, a, b, 2 * quad.nodes_per_panel)
-        err, scale, ok = _chop(vals, quad)
+        err, scale, floor, ok = _chop(vals, quad, floor)
         levels.append((owner, a, b, ok, value))
         if ok.all():
             break

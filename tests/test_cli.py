@@ -268,6 +268,24 @@ class TestAnalyze:
         assert report["measures"]["mean_width"] == pytest.approx(
             led["dual_length"] / led["ball_area"], rel=1e-11)
 
+    # rel_tol below the chop test's roundoff (7e-13 at 64 nodes, 5e-15 at
+    # the 3-node rule of numbers on segments) is met at that roundoff
+    @pytest.mark.parametrize("doc, rel_tol", [
+        ({"ball": "euclidean", "basepoint": [1, 0],
+          "radius": ["1.3+0.6*cos(pi*t)"] * 4}, "1e-14"),
+        ({"ball": "square", "basepoint": [2000, -1000],
+          "radius": [1000, 2000, 1000, 2000]}, "1e-15"),
+    ], ids=["circle", "rectangle_x1000"])
+    def test_rel_tol_below_roundoff_converges(self, tmp_path, doc, rel_tol):
+        p = write_doc(tmp_path / "curve.json", doc)
+        fine = run_cli("analyze", "--curve", p, "--rel-tol", rel_tol)
+        assert fine.returncode == 0, fine.stderr
+        got = json.loads(fine.stdout)["ledger"]
+        want = json.loads(run_cli("analyze", "--curve", p).stdout)["ledger"]
+        scale = max(abs(want["lhs"]), abs(want["curve_area"]))
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * scale, key
+
     def test_non_convex_curve_has_no_ledger(self, tmp_path):
         # closed, but its radius 1 + 3 cos(pi t) changes sign
         doc = {"ball": "euclidean", "basepoint": [1, 0],

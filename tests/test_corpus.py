@@ -461,11 +461,30 @@ def test_distributions_do_not_copy_the_values():
     ((1, -3), {}, "n"),
     ((-1, 2), {}, "seed"),
     ((1, 4), {"orthogonality_pairs": -1}, "orthogonality_pairs"),
-], ids=["negative_n", "negative_seed", "negative_pairs"])
+    ((1, 2.5), {}, "n"),
+    ((1.5, 4), {}, "seed"),
+    ((1, "4"), {}, "n"),
+    ((None, 4), {}, "seed"),
+    ((True, 4), {}, "seed"),
+    ((1, False), {}, "n"),
+    ((1, 4), {"orthogonality_pairs": 2.0}, "orthogonality_pairs"),
+    ((1, 4), {"orthogonality_pairs": True}, "orthogonality_pairs"),
+], ids=["negative_n", "negative_seed", "negative_pairs", "float_n",
+        "float_seed", "text_n", "none_seed", "bool_seed", "bool_n",
+        "float_pairs", "bool_pairs"])
 def test_negative_arguments_are_invalid(args, kwargs, named):
-    with pytest.raises(ValidationError, match=f"^{named} must be "
-                       "non-negative"):
+    with pytest.raises(ValidationError, match=f"^{named} must be a "
+                       "non-negative integer"):
         run_corpus(*args, **kwargs)
+
+
+# an unsigned numpy count wraps in the pad arithmetic unless made an int
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numpy_integer_arguments_are_valid():
+    report = run_corpus(np.int64(1), np.int32(4),
+                        orthogonality_pairs=np.uint8(1))
+    assert report["curves_checked"] == 4
+    assert report["orthogonality_pairs"] == 1
 
 
 def test_no_curves_is_an_empty_report():

@@ -102,6 +102,38 @@ def test_radius_scaled_curve_scales_its_ledger(name, seed, c):
                   fields(iso_ledger(curve)), c)
 
 
+def bumped_curve(name, seed, c):
+    """A drawn convex curve plus a bump T/100 wide at a seeded place, the
+    same on both halves so that it still closes, built afresh through the
+    adaptive rule with radius and basepoint times c."""
+    ball = builtin_ball(name)
+    rng = np.random.default_rng(seed)
+    modes, coef, basepoint = convex_coefficients(ball, rng)
+    at, width = rng.uniform(0.0, ball.T), 0.01 * ball.T
+
+    def radius(t):
+        s = (t - ball.t_start - at) % ball.T
+        s = np.minimum(s, ball.T - s)
+        return c * (modes.values(t) @ coef + np.exp(-(s / width) ** 2))
+    return curve_from_radius(ball, radius, c * basepoint)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=balls, seed=seeds, k=st.integers(-60, 60))
+def test_power_of_two_scaled_radius_keeps_its_panels(name, seed, k):
+    # c = 2^k scales every value of r u' exactly, and the rule's floor is
+    # relative to them, so the panels are the same bit for bit and each
+    # term picks up exactly its power of c
+    c = 2.0 ** k
+    unit, scaled = bumped_curve(name, seed, 1.0), bumped_curve(name, seed, c)
+    np.testing.assert_array_equal(scaled.table().frame.ends,
+                                  unit.table().frame.ends)
+    want, got = iso_ledger(unit), iso_ledger(scaled)
+    assert got.dual_length == c * want.dual_length
+    for field in ("curve_area", "wc_area", "cwms_area"):
+        assert getattr(got, field) == c * c * getattr(want, field), field
+
+
 @settings(max_examples=50, deadline=None)
 @given(name=balls, seeds=st.lists(seeds, min_size=1, max_size=6), c=factors)
 def test_gram_ledger_scales_with_the_coefficients(name, seeds, c):

@@ -70,23 +70,27 @@ def test_config_validation():
     ("nodes_per_panel", 2.5), ("nodes_per_panel", True),
     ("nodes_per_panel", 2),
     ("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", 0.0),
-    ("rel_tol", "1e-6"), ("abs_tol", -1e-14), ("abs_tol", float("nan")),
-    ("abs_tol", float("inf")), ("max_depth", -1), ("max_depth", 1.0),
+    ("rel_tol", "1e-6"), ("max_depth", -1), ("max_depth", 1.0),
 ])
 def test_every_field_is_validated_by_name(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         QuadratureConfig(**{field: value})
 
 
+def test_the_floor_is_no_setting():
+    with pytest.raises(TypeError):
+        QuadratureConfig(abs_tol=1e-14)
+
+
 def test_edge_values_are_valid():
-    quad = QuadratureConfig(nodes_per_panel=3, abs_tol=0.0, max_depth=0)
+    quad = QuadratureConfig(nodes_per_panel=3, max_depth=0)
     assert integrate(lambda t: np.full_like(t, 3.0), 0.0, 2.0,
                      quad) == pytest.approx(6.0, rel=1e-15)
 
 
 # -- the level-synchronous rule against the recursive one ------------------
 
-def _adapt(f, a, b, quad, depth, leaves):
+def _adapt(f, a, b, quad, depth, leaves, floor):
     """One panel call with 2 n nodes on [a, b]: its sum if the Legendre
     coefficients of f's interpolant there are negligible from degree n - 2
     up, else the sum over its halves."""
@@ -94,7 +98,7 @@ def _adapt(f, a, b, quad, depth, leaves):
     value, vals = panel(f, a, b, 2 * n)
     coef = legendre_operators(2 * n)[0][n - 2:] @ vals[0]
     err, scale = np.max(np.abs(coef)), np.max(np.abs(vals))
-    if err <= max(quad.rel_tol * scale, quad.abs_tol):
+    if err <= max(quad.rel_tol * scale, floor):
         leaves.append((a, b))
         return value
     if depth >= quad.max_depth:
@@ -102,13 +106,21 @@ def _adapt(f, a, b, quad, depth, leaves):
             f"quadrature did not converge on [{a}, {b}] "
             f"(error {err:.3e}, scale {scale:.3e})")
     m = 0.5 * (a + b)
-    return (_adapt(f, a, m, quad, depth + 1, leaves)
-            + _adapt(f, m, b, quad, depth + 1, leaves))
+    return (_adapt(f, a, m, quad, depth + 1, leaves, floor)
+            + _adapt(f, m, b, quad, depth + 1, leaves, floor))
 
 
-def reference_integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None):
-    """The recursive rule: one panel call per panel, depth first."""
-    return _adapt(f, a, b, quad, 0, [] if leaves is None else leaves)
+def reference_integrate(f, a, b, quad=DEFAULT_CONFIG, leaves=None, top=None):
+    """The recursive rule: one panel call per panel, depth first.  Its
+    floor is 4 times the largest tail coefficient of the constant 1, times
+    top, the largest |f| on the first panels of the call: by default on
+    [a, b]'s."""
+    n = quad.nodes_per_panel
+    if top is None:
+        top = np.max(np.abs(panel(f, a, b, 2 * n)[1]))
+    tail = legendre_operators(2 * n)[0][n - 2:]
+    floor = 4 * np.max(np.abs(tail.sum(axis=1))) * top
+    return _adapt(f, a, b, quad, 0, [] if leaves is None else leaves, floor)
 
 
 def _r_du(ball, radii):
@@ -137,9 +149,12 @@ def _check_against_reference(ball, radii, quad=DEFAULT_CONFIG):
     f = _r_du(ball, radii)
     got, want = [], []
     values = integrate(f, ball.breaks[:n], ball.breaks[1:n + 1], quad, got)
+    # the floor reads the largest |r u'| on the whole pieces, all at once
+    top = np.max(np.abs(panel(f, ball.breaks[:n], ball.breaks[1:n + 1],
+                              2 * quad.nodes_per_panel)[1]))
     for i, p in enumerate(ball.pieces[:n]):
         np.testing.assert_array_equal(
-            values[i], reference_integrate(f, p.t0, p.t1, quad, want))
+            values[i], reference_integrate(f, p.t0, p.t1, quad, want, top))
     [panels] = got
     np.testing.assert_array_equal(panels, want)
 
@@ -174,6 +189,20 @@ def test_builtin_balls_match_the_recursive_rule(name):
     for quad in (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-6)):
         for radius in (_wavy(ball), _peaked(ball)):
             _check_against_reference(ball, [radius] * len(ball.pieces), quad)
+
+
+@pytest.mark.parametrize("name", ["euclidean", "square", "regular_2k_gon",
+                                  "mixed_example21"])
+def test_the_floor_matches_the_recursive_rule(name):
+    # below tau_32 the floor decides the panels: piece 0 is 1e6, so the
+    # bump on piece 1 gets fewer panels than a floor read per piece gives
+    ball = builtin_ball(name)
+    piece = ball.pieces[1]
+    at = 0.5 * (piece.t0 + piece.t1)
+    radii = [lambda t: 1.0 + np.exp(-((t - at) / (0.01 * ball.T)) ** 2)
+             ] * len(ball.pieces)
+    radii[0] = lambda t: np.full_like(t, 1e6)
+    _check_against_reference(ball, radii, QuadratureConfig(rel_tol=1e-15))
 
 
 def test_example22_matches_the_recursive_rule(example22):
@@ -244,3 +273,27 @@ def test_domain_error_names_the_antipodal_piece(euclidean):
     # the radius leaves its domain only on the second half period
     with pytest.raises(DomainError, match=r"piece 3 .*t=3\.00034"):
         curve_from_radius(euclidean, ["1", "1", "1", "sqrt(t - 3.5)"])
+
+
+# sin^2 + cos^2 - 1: roundoff of a few 1e-16, on a period of the circle
+NOISE = "sin(pi*t)^2+cos(pi*t)^2-1"
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e3])
+def test_a_radius_of_roundoff_alone_does_not_converge(euclidean, c):
+    # the floor is relative to the largest |r u'|, here the noise itself,
+    # so no scale of it passes as a negligible series
+    noise = compile_fn(NOISE)
+    with pytest.raises(NoConvergence):
+        curve_from_radius(euclidean, lambda t: c * noise(t))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e3, 2.0 ** -60, 2.0 ** 60])
+def test_roundoff_beside_a_radius_of_size_one_converges(euclidean, c):
+    # pieces 1 and 3 are noise, next to 1 + cos(pi t) on pieces 0 and 2:
+    # the noise is below the floor that those set, at every scale
+    noise, bump = compile_fn(NOISE), compile_fn("1+cos(pi*t)")
+    curve = curve_from_radius(euclidean, [lambda t: c * bump(t),
+                                          lambda t: c * noise(t)] * 2)
+    np.testing.assert_array_equal(curve.table().frame.ends,
+                                  euclidean.breaks[:3])
